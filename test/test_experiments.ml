@@ -162,6 +162,34 @@ let test_seed_stability () =
     true
     (abs_float (i1 -. i2) < 0.12)
 
+(* Pinned outputs of the partition-layer experiments (Figures 3-6 and
+   24-25) on the toy contexts above: an MD5 of each experiment's full
+   output string.  Any change to how partitions are computed must keep
+   these byte-identical; changing a digest is a deliberate act that is
+   recorded in CHANGES.md. *)
+let pinned_digests =
+  [
+    ("base", "partitions", "dc126dc6463ea2f1ca7cb141326c9810");
+    ("base", "partitions-tier", "91ab087b9da63f4e3f02154bb9977e1a");
+    ("base", "lpk", "538269c3e72a2cd40dde9fac5fab9c59");
+    ("ixp", "partitions", "203085181e2dfb172e8f47c4a9f37de0");
+    ("ixp", "partitions-tier", "710823b29f34b171610509c77a553541");
+    ("ixp", "lpk", "63f52520e1605510ef1bf3692dd5b258");
+  ]
+
+let pinned_case (label, id, expected) =
+  Alcotest.test_case (label ^ ":" ^ id) `Slow (fun () ->
+      let c = Lazy.force (if label = "ixp" then ixp_ctx else ctx) in
+      let entry =
+        match Experiments.Registry.find id with
+        | Some e -> e
+        | None -> Alcotest.failf "no experiment %s" id
+      in
+      Alcotest.(check string)
+        (label ^ ":" ^ id ^ " output digest")
+        expected
+        (Digest.to_hex (Digest.string (entry.Experiments.Registry.run c))))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -181,4 +209,5 @@ let () =
         ] );
       ( "runs end to end",
         List.map experiment_case Experiments.Registry.all );
+      ("pinned partition outputs", List.map pinned_case pinned_digests);
     ]
