@@ -63,7 +63,9 @@
    default 6); SBGP_BENCH_TOPO_DSTS / SBGP_BENCH_TOPO_STEPS /
    SBGP_BENCH_TOPO_FLIPS (destination words, delta steps, link flaps per
    step for the topology part; defaults 6 / 10 / 3) and
-   SBGP_BENCH_LOAD_REPS (snapshot load repetitions, default 5).
+   SBGP_BENCH_LOAD_REPS (snapshot load repetitions, default 5).  An
+   unset or empty knob takes its default; a value that does not parse
+   stops the run with exit code 2, naming the variable and the value.
 
    With --json on the command line (or SBGP_BENCH_JSON=1), all timings
    are additionally written to BENCH_<label>.json, where <label> comes
@@ -71,16 +73,27 @@
    run, meant for diffing across commits; only the parts that ran are
    present. *)
 
-let env_int name default =
+(* Numeric knobs: an unset or empty variable takes the default; any
+   other value must parse, or the harness stops (exit 2) naming the
+   variable and the value rather than silently running the default. *)
+let env_parse name default ~what parse =
   match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
+  | None | Some "" -> default
+  | Some s -> (
+      match parse (String.trim s) with
+      | Some v -> v
+      | None ->
+          Printf.eprintf "bench: %s=%S is not %s\n%!" name s what;
+          exit 2)
+
+let env_int name default =
+  env_parse name default ~what:"an integer" int_of_string_opt
 
 let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with Some v -> v | None -> default)
-  | None -> default
+  env_parse name default ~what:"a finite number" (fun s ->
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v -> Some v
+      | Some _ | None -> None)
 
 let part name =
   match Sys.getenv_opt "SBGP_BENCH_ONLY" with

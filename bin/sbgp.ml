@@ -197,9 +197,9 @@ let exp_cmd =
       & info [ "batch" ] ~docv:"BOOL"
           ~doc:
             "Force the destination-major batched routing kernel on or off \
-             for metric evaluation (default: on).  Equivalent to setting \
+             for H-metric evaluation (default: on).  Equivalent to setting \
              the SBGP_BATCH environment variable; results are bit-identical \
-             either way.")
+             either way.  Partition counts always use the batched path.")
   in
   let run n seed ixp scale domains graph_file out_dir check batch which =
     (match out_dir with
@@ -309,7 +309,10 @@ let check_cmd =
              destination-major batched kernel are replayed against the \
              reference kernel and must be bit-identical (the batched \
              sub-pass decodes every lane of sampled attacker words and \
-             pinpoints the first divergent destination/word/bit).")
+             pinpoints the first divergent destination/word/bit); the \
+             partition sub-pass compares the batched partition counts of \
+             the same words against the per-pair oracle under every \
+             model, with and without a source filter.")
   in
   let optimize_arg =
     Arg.(

@@ -167,7 +167,12 @@ let kernel_pass options g =
     Kernel.analyze_batch ~attacker_claim:options.attacker_claim g
       options.policies (dep_mixed n) (sample_batches rng n)
   in
-  (items + bitems, diags @ bdiags)
+  (* Partition sub-pass: batched partition counts against the per-pair
+     oracle over the same lane-count spectrum. *)
+  let pitems, pdiags =
+    Kernel.analyze_partition g (sample_batches rng n)
+  in
+  (items + bitems + pitems, diags @ bdiags @ pdiags)
 
 let run_kernel ?(options = default_options) g =
   let items, diags = kernel_pass options g in

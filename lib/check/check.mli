@@ -12,6 +12,8 @@
     + {b kernel} ({!Kernel}) — the packed CSR engine is replayed against
       the preserved pre-change kernel ({!Routing.Reference}) and the
       Appendix-B staged specification, demanding bit-identical outcomes;
+      its partition sub-pass holds the batched partition counts
+      ({!Metric.Partition.count_batch}) to the per-pair oracle;
     + {b determinism} ({!Determinism}) — the same batch replayed across
       domain counts and workspace-reuse settings must be bit-identical
       to the sequential fresh-buffer baseline;
@@ -101,7 +103,8 @@ val run_kernel : ?options:options -> Topology.Graph.t -> Diagnostic.report
 (** Only the kernel pass ([sbgp check --kernel]): the scalar
     differential gate plus the batched-divergence sub-pass, which
     decodes every lane of sampled (destination, attacker-word) batches
-    against the reference kernel. *)
+    against the reference kernel, plus the partition sub-pass
+    ({!Kernel.analyze_partition}) over the same lane counts. *)
 
 val run_topology : ?options:options -> Topology.Graph.t -> Diagnostic.report
 (** Only the topology pass ([sbgp check --topology]): CSR-vs-tables

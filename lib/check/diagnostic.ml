@@ -118,6 +118,9 @@ let catalogue =
     ( "kernel/batch-divergence",
       "a decoded lane of the destination-major batched kernel disagrees \
        with the reference kernel on some outcome field" );
+    ( "kernel/partition-divergence",
+      "the batched partition counts of an attacker word disagree with \
+       the per-pair partition oracle for some lane" );
     ( "det/divergence",
       "a (domains, workspace) configuration diverged from the sequential \
        fresh-buffer baseline" );

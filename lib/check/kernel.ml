@@ -197,3 +197,98 @@ let analyze_batch ?(attacker_claim = 1) ?tamper g policies dep batches =
         batches)
     policies;
   (!items, !diags)
+
+(* Partition sub-pass: the batched partition counts of every sampled
+   attacker word against the per-pair oracle, lane by lane, for every
+   model the experiments classify under, with and without a source
+   filter.  LPk on a cyclic hierarchy must fail the same way on both
+   sides.  [fault] plants a bug in the batched side (the mutant guard). *)
+module Pt = Metric.Partition
+
+let partition_policies =
+  [
+    P.make P.Security_first;
+    P.make P.Security_second;
+    P.make P.Security_third;
+    P.make ~lp:(P.Lp_k 1) P.Security_second;
+    P.make ~lp:(P.Lp_k 2) P.Security_second;
+    P.make ~lp:(P.Lp_k 60) P.Security_second;
+  ]
+
+let describe_counts (c : Pt.counts) =
+  Printf.sprintf "doomed %d, protectable %d, immune %d, unreachable %d of %d"
+    c.Pt.doomed c.Pt.protectable c.Pt.immune c.Pt.unreachable c.Pt.sources
+
+let analyze_partition ?fault g batches =
+  let n = Topology.Graph.n g in
+  (* Every third AS, plus the first word's destination and attackers so
+     the per-lane exclusions are exercised. *)
+  let sources =
+    Array.append
+      (Array.init ((n + 2) / 3) (fun i -> 3 * i))
+      (match batches with
+      | [||] -> [||]
+      | _ ->
+          let dst, attackers = batches.(0) in
+          Array.append [| dst |] attackers)
+  in
+  let items = ref 0 in
+  let diags = ref [] in
+  let guard f = match f () with v -> Ok v | exception Failure msg -> Error msg in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun sources ->
+          Array.iteri
+            (fun word_idx (dst, attackers) ->
+              let batch =
+                guard (fun () ->
+                    Pt.count_batch ?fault ?sources g policy ~dst ~attackers)
+              in
+              let oracle =
+                guard (fun () ->
+                    Array.map
+                      (fun attacker ->
+                        match sources with
+                        | None -> Pt.count g policy ~attacker ~dst
+                        | Some sources ->
+                            Pt.count_among g policy ~attacker ~dst ~sources)
+                      attackers)
+              in
+              let filter = if sources = None then "" else ", source filter" in
+              let report ~subjects detail =
+                diags :=
+                  !diags
+                  @ [
+                      D.error ~rule:"kernel/partition-divergence" ~subjects
+                        (Printf.sprintf
+                           "batched partition counts diverge from the \
+                            per-pair oracle [%s%s] at dst %d, attacker word \
+                            %d: %s"
+                           (P.name policy) filter dst word_idx detail);
+                    ]
+              in
+              items := !items + Array.length attackers;
+              match (batch, oracle) with
+              | Ok got, Ok want ->
+                  let first = ref None in
+                  Array.iteri
+                    (fun l w ->
+                      if !first = None && got.(l) <> w then first := Some l)
+                    want;
+                  Option.iter
+                    (fun l ->
+                      report ~subjects:[ dst; attackers.(l) ]
+                        (Printf.sprintf "bit %d (attacker %d): batch %s; \
+                                         per-pair %s"
+                           l attackers.(l) (describe_counts got.(l))
+                           (describe_counts want.(l))))
+                    !first
+              | Error a, Error b when String.equal a b -> ()
+              | Error a, _ -> report ~subjects:[ dst ] ("batch failed: " ^ a)
+              | Ok _, Error b ->
+                  report ~subjects:[ dst ] ("only the per-pair oracle failed: " ^ b))
+            batches)
+        [ None; Some sources ])
+    partition_policies;
+  (!items, !diags)

@@ -56,3 +56,19 @@ val analyze_batch :
 
     [tamper ~lane outcome] mutates a decoded lane before comparison —
     the false-negative mutants inject batch-kernel bugs through it. *)
+
+val analyze_partition :
+  ?fault:Metric.Partition.fault ->
+  Topology.Graph.t ->
+  (int * int array) array ->
+  int * Diagnostic.t list
+(** [analyze_partition g batches] compares
+    {!Metric.Partition.count_batch} of every [(dst, attackers)] word
+    against per-pair {!Metric.Partition.count} (and, with a source
+    filter, {!Metric.Partition.count_among}) lane by lane, under
+    security 1st, 2nd and 3rd and security 2nd with LP1, LP2 and LP60.
+    Both sides must also fail alike (LPk on a cyclic hierarchy).  A
+    disagreement is a ["kernel/partition-divergence"] error naming the
+    policy, destination, attacker word and bit with both counts.
+    [items] counts compared lanes; [fault] plants a bug in the batched
+    side for the mutant guard. *)

@@ -302,6 +302,25 @@ let stale_workspace () =
       [ Determinism.baseline; { Determinism.domains = 1; reuse_ws = true } ]
     ~compute g sec3 dep pairs
 
+(* ---- partition mutants -------------------------------------------- *)
+
+let partition_unblocked () =
+  (* A customer chain 0 < 1 < 2 with 3 below 2: every route from 2 or 3
+     to d = 0 transits the attacker 1.  With the per-lane attacker block
+     dropped from the to-d closure, the batched side sees those routes
+     and moves 2 and 3 out of the doomed class. *)
+  let g =
+    G.of_edges ~n:4
+      [
+        G.Customer_provider (0, 1);
+        G.Customer_provider (1, 2);
+        G.Customer_provider (3, 2);
+      ]
+  in
+  snd
+    (Kernel.analyze_partition ~fault:Metric.Partition.Unblocked_attackers g
+       [| (0, [| 1 |]) |])
+
 (* ---- allocation-gate mutants ------------------------------------- *)
 
 (* A provider chain big enough for the gate's batch and metric probes. *)
@@ -428,6 +447,14 @@ let all =
       expected_rule = "kernel/batch-divergence";
       description = "every later lane decodes to lane 0's routing tree";
       run = batch_stale_lane;
+    };
+    {
+      name = "partition-unblocked-attacker";
+      expected_rule = "kernel/partition-divergence";
+      description =
+        "the batched to-d closure drops the per-lane attacker block, so \
+         routes through the attacker count as surviving";
+      run = partition_unblocked;
     };
     {
       name = "det-stale-workspace";

@@ -12,51 +12,43 @@ let pct_delta (b : Metric.H_metric.bounds) =
     (100. *. b.Metric.H_metric.ub)
 
 (* Average partition fractions over a set of attacker-destination pairs.
-   The per-pair classifications are independent; fan them out over the
-   pool (integer counts, so the reduction is order-insensitive anyway —
-   we still reduce in input order). *)
-let partition_counts ?pool pairs ~count_one =
-  let per_pair =
-    Parallel.map ?pool
-      (fun { Metric.H_metric.attacker; dst } ->
-        count_one ~ws:(Routing.Engine.Workspace.local ()) ~attacker ~dst)
-      pairs
+   Pairs sharing a destination are classified together, one
+   [Partition.count_batch] call per destination word.  The words are
+   split into two runs per domain, each run reusing one scratch that is
+   dropped with it, and the runs fan out over the pool (integer counts,
+   reduced in input order). *)
+let partition_total ?pool ?sources g policy pairs =
+  let items = Metric.H_metric.batch_plan pairs in
+  let len = Array.length items in
+  let domains =
+    match pool with
+    | Some p -> Parallel.Pool.size p
+    | None -> Parallel.default_domains ()
   in
-  Array.fold_left Metric.Partition.add Metric.Partition.zero per_pair
+  let runs = min len (2 * max 1 domains) in
+  let per_run =
+    Parallel.map ?pool ~chunk:1
+      (fun r ->
+        let scratch = Metric.Partition.Scratch.create () in
+        let ws = Routing.Batch.Workspace.local () in
+        let total = ref Metric.Partition.zero in
+        for i = r * len / runs to ((r + 1) * len / runs) - 1 do
+          let dst, attackers, _pos = items.(i) in
+          total :=
+            Array.fold_left Metric.Partition.add !total
+              (Metric.Partition.count_batch ~ws ~scratch ?sources g policy
+                 ~dst ~attackers)
+        done;
+        !total)
+      (Array.init runs Fun.id)
+  in
+  Array.fold_left Metric.Partition.add Metric.Partition.zero per_run
 
 let partition_fractions ?pool g policy pairs =
-  let batched =
-    (* Security 3rd classifies off one attacked solve, so pairs sharing
-       a destination ride one batched drain; the other models derive
-       the partition from reachability closures and stay per-pair. *)
-    match (policy : Routing.Policy.t).model with
-    | Security_third -> Metric.H_metric.batch_enabled ()
-    | Security_first | Security_second -> false
-  in
-  let total =
-    if batched then begin
-      let items = Metric.H_metric.batch_plan pairs in
-      let per_item =
-        Parallel.map ?pool
-          (fun (dst, attackers, _pos) ->
-            Array.fold_left Metric.Partition.add Metric.Partition.zero
-              (Metric.Partition.sec3_count_batch
-                 ~ws:(Routing.Batch.Workspace.local ())
-                 g policy ~dst ~attackers))
-          items
-      in
-      Array.fold_left Metric.Partition.add Metric.Partition.zero per_item
-    end
-    else
-      partition_counts ?pool pairs ~count_one:(fun ~ws ~attacker ~dst ->
-          Metric.Partition.count ~ws g policy ~attacker ~dst)
-  in
-  Metric.Partition.fractions total
+  Metric.Partition.fractions (partition_total ?pool g policy pairs)
 
 let partition_fractions_among ?pool g policy pairs ~sources =
-  Metric.Partition.fractions
-    (partition_counts ?pool pairs ~count_one:(fun ~ws ~attacker ~dst ->
-         Metric.Partition.count_among ~ws g policy ~attacker ~dst ~sources))
+  Metric.Partition.fractions (partition_total ?pool ~sources g policy pairs)
 
 (* H over pairs, and the improvement over the empty deployment. *)
 let h ?pool ?cache g policy dep pairs =

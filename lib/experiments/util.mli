@@ -16,9 +16,14 @@ val partition_fractions :
   Routing.Policy.t ->
   Metric.H_metric.pair array ->
   float * float * float
-(** Average (doomed, protectable, immune) fractions over the pairs,
-    fanned out over [pool] (or the default pool) one pair per work item;
-    each domain reuses its private engine workspace. *)
+(** Average (doomed, protectable, immune) fractions over the pairs.
+    Pairs sharing a destination are classified together by
+    {!Metric.Partition.count_batch}, one call per destination word
+    ({!Metric.H_metric.batch_plan}).  The words are split into two runs
+    per domain of [pool] (or the default pool); a run reuses its
+    domain's batch workspace and one {!Metric.Partition.Scratch.t} that
+    is dropped with it.  Bit-identical to summing per-pair
+    {!Metric.Partition.count}s, for every model. *)
 
 val partition_fractions_among :
   ?pool:Parallel.Pool.t ->
@@ -27,6 +32,8 @@ val partition_fractions_among :
   Metric.H_metric.pair array ->
   sources:int array ->
   float * float * float
+(** {!partition_fractions} counting only the ASes in [sources]
+    ({!Metric.Partition.count_batch}'s [?sources]). *)
 
 val h :
   ?pool:Parallel.Pool.t ->

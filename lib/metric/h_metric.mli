@@ -143,7 +143,8 @@ val batch_enabled : unit -> bool
     drives the metric paths.  Default on; setting [SBGP_BATCH] to [0],
     [false], [no] or [off] forces the scalar per-pair engine.  The two
     paths are bit-identical — the switch exists for benchmarking and
-    divergence triage, not for correctness. *)
+    divergence triage, not for correctness.  Partition counts
+    ({!Partition.count_batch}) do not read it: they have one path. *)
 
 val batch_plan : pair array -> (int * int array * int array) array
 (** Group pairs by destination (first-seen input order, deterministic)

@@ -109,6 +109,45 @@ let bucket_of ~k out v =
     | Routing.Policy.Provider -> B_prov
   end
 
+(* Topological order of the customer-provider hierarchy, customers
+   first (Kahn's algorithm over the CSR, with [order] doubling as the
+   queue), written to [order.(0 .. n-1)].  Raises [Failure] on a
+   cycle. *)
+let topo_into g ~order ~indeg =
+  let n = Topology.Graph.n g in
+  let csr = Topology.Graph.csr g in
+  let adj = csr.Topology.Graph.Csr.adj in
+  let xs = csr.Topology.Graph.Csr.xs in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
+    let c =
+      Bigarray.Array1.get xs ((3 * v) + 1) - Bigarray.Array1.get xs (3 * v)
+    in
+    indeg.(v) <- c;
+    if c = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let u = order.(!head) in
+    incr head;
+    for i =
+      Bigarray.Array1.get xs ((3 * u) + 2)
+      to Bigarray.Array1.get xs ((3 * u) + 3) - 1
+    do
+      let p = Bigarray.Array1.get adj i in
+      indeg.(p) <- indeg.(p) - 1;
+      if indeg.(p) = 0 then begin
+        order.(!tail) <- p;
+        incr tail
+      end
+    done
+  done;
+  if !tail <> n then
+    failwith "Partition: customer-provider hierarchy has a cycle"
+
 let sec2_lpk_partition ?ws g policy ~k ~attacker ~dst n =
   if k > 60 then failwith "Partition: Lp_k with k > 60 unsupported";
   let base =
@@ -120,32 +159,8 @@ let sec2_lpk_partition ?ws g policy ~k ~attacker ~dst n =
         if v = dst || v = attacker then B_none else bucket_of ~k base v)
   in
   let full_mask = (1 lsl (k + 1)) - 1 in
-  (* Topological order of the customer-provider hierarchy, customers
-     first. *)
-  let topo =
-    let indeg = Array.make n 0 in
-    for v = 0 to n - 1 do
-      indeg.(v) <- Array.length (Topology.Graph.customers g v)
-    done;
-    let queue = Queue.create () in
-    for v = 0 to n - 1 do
-      if indeg.(v) = 0 then Queue.add v queue
-    done;
-    let order = ref [] in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      order := u :: !order;
-      Array.iter
-        (fun p ->
-          indeg.(p) <- indeg.(p) - 1;
-          if indeg.(p) = 0 then Queue.add p queue)
-        (Topology.Graph.providers g u)
-    done;
-    let order = List.rev !order in
-    if List.length order <> n then
-      failwith "Partition: customer-provider hierarchy has a cycle";
-    Array.of_list order
-  in
+  let topo = Array.make n 0 in
+  topo_into g ~order:topo ~indeg:(Array.make n 0);
   (* Per root: does each AS have a class-respecting candidate route to it
      within its own bucket? *)
   let reach_root ~root ~offset ~avoid =
@@ -248,74 +263,403 @@ let compute ?ws g policy ~attacker ~dst =
       | Lp_k k -> sec2_lpk_partition ?ws g policy ~k ~attacker ~dst n)
 
 let count_of_classes classes skip =
-  let c = ref zero in
+  let doomed = ref 0 and protectable = ref 0 and immune = ref 0 in
+  let unreachable = ref 0 in
   Array.iteri
     (fun v cls ->
-      if not (skip v) then begin
-        let one = { zero with sources = 1 } in
-        let one =
-          match cls with
-          | Doomed -> { one with doomed = 1 }
-          | Protectable -> { one with protectable = 1 }
-          | Immune -> { one with immune = 1 }
-          | Unreachable -> { one with unreachable = 1 }
-        in
-        c := add !c one
-      end)
+      if not (skip v) then
+        match cls with
+        | Doomed -> incr doomed
+        | Protectable -> incr protectable
+        | Immune -> incr immune
+        | Unreachable -> incr unreachable)
     classes;
-  !c
+  {
+    doomed = !doomed;
+    protectable = !protectable;
+    immune = !immune;
+    unreachable = !unreachable;
+    sources = !doomed + !protectable + !immune + !unreachable;
+  }
 
 let count ?ws g policy ~attacker ~dst =
   let classes = compute ?ws g policy ~attacker ~dst in
   count_of_classes classes (fun v -> v = attacker || v = dst)
 
-(* Security 3rd for a whole attacker word at once: the classification
-   reads only the endpoint flags of the baseline (empty-deployment)
-   attacked solve, so one batched drain classifies every lane.  The
-   fold skips class-3 (root) groups — the destination everywhere and
-   each lane's own attacker in its lane, exactly the per-lane excluded
-   sources — and counts the rest per flag pair; an AS with no group in
-   a lane is unreached there, so [unreachable] is the remainder.
-   Counts are bit-identical to per-attacker {!count}. *)
+(* The distinct in-range sources as a set; [fn] names the caller in the
+   error for an out-of-range id. *)
+let source_set ~fn n sources =
+  let keep = Prelude.Bitset.create n in
+  Array.iter
+    (fun v ->
+      if v < 0 || v >= n then invalid_arg (fn ^ ": source out of range");
+      Prelude.Bitset.add keep v)
+    sources;
+  keep
+
+let count_among ?ws g policy ~attacker ~dst ~sources =
+  let keep =
+    source_set ~fn:"Partition.count_among" (Topology.Graph.n g) sources
+  in
+  let classes = compute ?ws g policy ~attacker ~dst in
+  count_of_classes classes (fun v ->
+      v = attacker || v = dst || not (Prelude.Bitset.mem keep v))
+
+(* --- Batched partitions ------------------------------------------------
+
+   One call classifies every source for up to [Routing.Batch.max_lanes]
+   attackers sharing a destination.  Per AS, each model yields two lane
+   words — [d_ok] (a class-respecting route to d survives) and [m_ok] (a
+   route to m can win) — and the per-lane class counts fold straight off
+   them.  An excluded source of a lane (the destination everywhere, the
+   lane's own attacker in its lane) has both bits clear in that lane, so
+   it is never tallied; [unreachable] is the remainder of the lane's
+   source count, exactly as {!count_of_classes} skips those slots. *)
+
+(* Bit-sliced per-lane counters: plane [i] holds bit [i] of every lane's
+   count, so adding a lane word is a carry chain (two steps amortized)
+   instead of one step per set bit. *)
+let planes = 62
+
+let add_lanes c w =
+  let carry = ref w and i = ref 0 in
+  while !carry <> 0 do
+    let p = c.(!i) in
+    c.(!i) <- p lxor !carry;
+    carry := p land !carry;
+    incr i
+  done
+
+let lane_count c l =
+  let r = ref 0 in
+  for i = planes - 1 downto 0 do
+    r := (!r lsl 1) lor ((c.(i) lsr l) land 1)
+  done;
+  !r
+
+(* Buffers of the batched paths: the two lane closures and the LPk
+   words, grown on demand.  Fresh size-n arrays per destination word
+   would cost more than the closures themselves (each is a new
+   major-heap block), so callers reuse one across a run of words. *)
+module Scratch = struct
+  type t = {
+    to_d : Routing.Reach.Lanes.t;
+    to_m : Routing.Reach.Lanes.t;
+    mutable topo : int array;
+    mutable indeg : int array;
+    mutable estart : int array; (* n + 1: bucket-entry CSR bounds *)
+    mutable ecls : int array; (* per entry: class code *)
+    mutable elc : int array; (* per entry: length code, k + 1 = over *)
+    mutable emask : int array; (* per entry: lanes *)
+    mutable cx : int array;
+    mutable cm : int array;
+    mutable ox : int array;
+    mutable ow : int array;
+    mutable d_roots : int array;
+    mutable m_roots : int array;
+    mutable d_ok : int array;
+    mutable m_ok : int array;
+  }
+
+  let create () =
+    {
+      to_d = Routing.Reach.Lanes.create ();
+      to_m = Routing.Reach.Lanes.create ();
+      topo = [||];
+      indeg = [||];
+      estart = [||];
+      ecls = [||];
+      elc = [||];
+      emask = [||];
+      cx = [||];
+      cm = [||];
+      ox = [||];
+      ow = [||];
+      d_roots = [||];
+      m_roots = [||];
+      d_ok = [||];
+      m_ok = [||];
+    }
+end
+
+(* [a] if it holds [len] elements, else a fresh zeroed array of [len]. *)
+let fit a len = if Array.length a >= len then a else Array.make len 0
+
+type fault = Unblocked_attackers
+
+(* Security 1st and 2nd (standard LP): two lane closures replace the two
+   scalar closures of every pair.  The to-d closure is rooted at d in
+   every lane, lane l avoiding m_l; the to-m closure seeds lane l at m_l,
+   every lane avoiding d. *)
+let closures ?fault (sc : Scratch.t) g ~dst ~attackers =
+  let lanes = Array.length attackers in
+  let everywhere_d = Array.make lanes dst in
+  let blocked =
+    match fault with
+    | None -> attackers
+    | Some Unblocked_attackers -> Array.make lanes (-1)
+  in
+  Routing.Reach.Lanes.compute sc.to_d g ~roots:everywhere_d ~avoid:blocked;
+  Routing.Reach.Lanes.compute sc.to_m g ~roots:attackers ~avoid:everywhere_d
+
+(* Security 2nd with LPk, lifted to lane words.  Each (AS, lane) bucket
+   comes from one batched baseline solve: the frozen groups of an AS
+   become its bucket entries (class, length code, lane mask), with
+   length code [k + 1] for "over k".  Every (AS, lane) offers at most
+   one length to its providers and peers — its own customer bucket's
+   length plus one, clamped to [k + 1] — so the scalar per-pair length
+   masks collapse to one lane word per AS, [avail].  The customer DP
+   runs customers first, the peer step reads the finished customer
+   words, and the provider closure runs providers first, exactly as in
+   {!sec2_lpk_partition}.  Leaves the words in [sc.d_ok] / [sc.m_ok]. *)
+let lpk_words ?ws (sc : Scratch.t) g policy ~k ~dst ~attackers =
+  if k > 60 then failwith "Partition: Lp_k with k > 60 unsupported";
+  let n = Topology.Graph.n g in
+  let b =
+    Routing.Batch.compute ?ws g policy (Deployment.empty n) ~dst ~attackers
+  in
+  sc.topo <- fit sc.topo n;
+  sc.indeg <- fit sc.indeg n;
+  topo_into g ~order:sc.topo ~indeg:sc.indeg;
+  let topo = sc.topo in
+  let export lc = if lc < k then lc + 1 else k + 1 in
+  (* Bucket entries, one per non-root group, in a CSR keyed by AS
+     ([iter_fixed] visits ASes in increasing order, so one pass fills
+     it).  Usually all customer entries of an AS export the same code:
+     [cx.(u)] is that code ([-1]: no customer entry, [-2]: mixed codes)
+     and [cm.(u)] the union of their lanes. *)
+  sc.estart <- fit sc.estart (n + 1);
+  sc.cx <- fit sc.cx n;
+  sc.cm <- fit sc.cm n;
+  let estart = sc.estart and cx = sc.cx and cm = sc.cm in
+  Array.fill cx 0 n (-1);
+  Array.fill cm 0 n 0;
+  let entries = ref 0 and next_as = ref 0 in
+  Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
+      let open Routing.Engine.Packed in
+      let cls = cls_code_of word in
+      if cls <> 3 then begin
+        let i = !entries in
+        if i >= Array.length sc.ecls then begin
+          let grow a = Array.append a (Array.make (Array.length a + n) 0) in
+          sc.ecls <- grow sc.ecls;
+          sc.elc <- grow sc.elc;
+          sc.emask <- grow sc.emask
+        end;
+        while !next_as <= v do
+          estart.(!next_as) <- i;
+          incr next_as
+        done;
+        let len = len_of word in
+        let lc = if len <= k then len else k + 1 in
+        sc.ecls.(i) <- cls;
+        sc.elc.(i) <- lc;
+        sc.emask.(i) <- mask;
+        entries := i + 1;
+        if cls = 0 then begin
+          let x = export lc in
+          cx.(v) <- (if cx.(v) = -1 || cx.(v) = x then x else -2);
+          cm.(v) <- cm.(v) lor mask
+        end
+      end);
+  for v = !next_as to n do
+    estart.(v) <- !entries
+  done;
+  let ecls = sc.ecls and elc = sc.elc and emask = sc.emask in
+  let csr = Topology.Graph.csr g in
+  let adj = csr.Topology.Graph.Csr.adj in
+  let xs = csr.Topology.Graph.Csr.xs in
+  sc.ox <- fit sc.ox n;
+  sc.ow <- fit sc.ow n;
+  let ox = sc.ox and ow = sc.ow in
+  let side ~avail ~root_lanes ~offset =
+    Array.fill avail 0 n 0;
+    Array.fill ox 0 n (-1);
+    Array.fill ow 0 n 0;
+    let root_x = export (if offset <= k then offset else k + 1) in
+    (* Lanes in which [u] offers a route of length code [x] upward or
+       sideways: its root lanes, and its available customer buckets. *)
+    let offer_scan u x =
+      let acc = ref (if x = root_x then root_lanes.(u) else 0) in
+      let au = avail.(u) in
+      for i = estart.(u) to estart.(u + 1) - 1 do
+        if ecls.(i) = 0 && export elc.(i) = x then
+          acc := !acc lor (emask.(i) land au)
+      done;
+      !acc
+    in
+    (* Each AS's offers, summarized once its customer lanes are final:
+       the one code it offers [ox.(u)] with lanes [ow.(u)], [-1] when it
+       offers nothing, [-2] when codes are mixed ([offer_scan]). *)
+    let summarize u =
+      let roots = root_lanes.(u) and c = cx.(u) in
+      if c = -2 || (roots <> 0 && c >= 0 && c <> root_x) then ox.(u) <- -2
+      else begin
+        let w = roots lor (cm.(u) land avail.(u)) in
+        if w <> 0 then begin
+          ox.(u) <- (if roots <> 0 then root_x else c);
+          ow.(u) <- w
+        end
+      end
+    in
+    (* Entries of class [cls] at [v] gain the lanes some neighbor in
+       CSR segment [seg] offers their length code. *)
+    let gather v ~cls ~seg =
+      let lo = Bigarray.Array1.get xs ((3 * v) + seg)
+      and hi = Bigarray.Array1.get xs ((3 * v) + seg + 1) in
+      for i = estart.(v) to estart.(v + 1) - 1 do
+        if ecls.(i) = cls then begin
+          let x = elc.(i) and m = emask.(i) in
+          let gain = ref 0 in
+          let j = ref lo in
+          while !j < hi && !gain land m <> m do
+            let u = Bigarray.Array1.get adj !j in
+            let o = ox.(u) in
+            if o = x then gain := !gain lor ow.(u)
+            else if o = -2 then gain := !gain lor offer_scan u x;
+            incr j
+          done;
+          avail.(v) <- avail.(v) lor (!gain land m)
+        end
+      done
+    in
+    for t = 0 to n - 1 do
+      let v = topo.(t) in
+      gather v ~cls:0 ~seg:0;
+      summarize v
+    done;
+    for v = 0 to n - 1 do
+      gather v ~cls:1 ~seg:1
+    done;
+    for t = n - 1 downto 0 do
+      let v = topo.(t) in
+      for i = estart.(v) to estart.(v + 1) - 1 do
+        if ecls.(i) = 2 then begin
+          let m = emask.(i) in
+          let gain = ref 0 in
+          for j =
+            Bigarray.Array1.get xs ((3 * v) + 2)
+            to Bigarray.Array1.get xs ((3 * v) + 3) - 1
+          do
+            let u = Bigarray.Array1.get adj j in
+            gain := !gain lor root_lanes.(u) lor avail.(u)
+          done;
+          avail.(v) <- avail.(v) lor (!gain land m)
+        end
+      done
+    done
+  in
+  sc.d_roots <- fit sc.d_roots n;
+  sc.m_roots <- fit sc.m_roots n;
+  sc.d_ok <- fit sc.d_ok n;
+  sc.m_ok <- fit sc.m_ok n;
+  let d_roots = sc.d_roots and m_roots = sc.m_roots in
+  Array.fill d_roots 0 n 0;
+  Array.fill m_roots 0 n 0;
+  d_roots.(dst) <- (1 lsl Array.length attackers) - 1;
+  Array.iteri (fun l m -> m_roots.(m) <- m_roots.(m) lor (1 lsl l)) attackers;
+  side ~avail:sc.d_ok ~root_lanes:d_roots ~offset:0;
+  side ~avail:sc.m_ok ~root_lanes:m_roots ~offset:1
+
+let count_batch ?ws ?scratch ?fault ?sources g policy ~dst ~attackers =
+  let n = Topology.Graph.n g in
+  let lanes = Array.length attackers in
+  if lanes < 1 || lanes > Routing.Batch.max_lanes then
+    invalid_arg "Partition.count_batch: lane count out of range";
+  if dst < 0 || dst >= n then
+    invalid_arg "Partition.count_batch: dst out of range";
+  Array.iter
+    (fun m ->
+      if m < 0 || m >= n then
+        invalid_arg "Partition.count_batch: attacker out of range";
+      if m = dst then invalid_arg "Partition.count_batch: attacker = dst")
+    attackers;
+  let keep = Option.map (source_set ~fn:"Partition.count_batch" n) sources in
+  let kept v =
+    match keep with None -> true | Some s -> Prelude.Bitset.mem s v
+  in
+  let doomed = Array.make planes 0 and protectable = Array.make planes 0 in
+  let immune = Array.make planes 0 in
+  let tally ~d_ok ~m_ok =
+    add_lanes protectable (d_ok land m_ok);
+    add_lanes immune (d_ok land lnot m_ok);
+    add_lanes doomed (m_ok land lnot d_ok)
+  in
+  let sc = match scratch with Some sc -> sc | None -> Scratch.create () in
+  (match ((policy : Routing.Policy.t).model, policy.lp) with
+  | Security_third, _ ->
+      (* Corollary E.1: the endpoint flags of the baseline attacked
+         solve decide; root groups (class code 3) are the excluded
+         sources, and lanes without a group are unreached. *)
+      let b =
+        Routing.Batch.compute ?ws g policy (Deployment.empty n) ~dst
+          ~attackers
+      in
+      Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
+          let open Routing.Engine.Packed in
+          if cls_code_of word <> 3 && kept v then
+            tally
+              ~d_ok:(if to_d_of word then mask else 0)
+              ~m_ok:(if to_m_of word then mask else 0))
+  | Security_first, _ ->
+      (* Observations E.3 / E.4: any perceivable route to each end. *)
+      closures ?fault sc g ~dst ~attackers;
+      let open Routing.Reach.Lanes in
+      for v = 0 to n - 1 do
+        if kept v then
+          tally
+            ~d_ok:(customer sc.to_d v lor peer sc.to_d v lor provider sc.to_d v)
+            ~m_ok:(customer sc.to_m v lor peer sc.to_m v lor provider sc.to_m v)
+      done
+  | Security_second, Standard ->
+      (* Corollary E.2: the best class over both closures is
+         deployment-invariant; each end must be reachable within it. *)
+      closures ?fault sc g ~dst ~attackers;
+      let open Routing.Reach.Lanes in
+      for v = 0 to n - 1 do
+        if kept v then begin
+          let cd = customer sc.to_d v and cm = customer sc.to_m v in
+          let pd = peer sc.to_d v and pm = peer sc.to_m v in
+          let vd = provider sc.to_d v and vm = provider sc.to_m v in
+          let bc = cd lor cm in
+          let bp = (pd lor pm) land lnot bc in
+          let bv = (vd lor vm) land lnot (bc lor bp) in
+          tally
+            ~d_ok:((bc land cd) lor (bp land pd) lor (bv land vd))
+            ~m_ok:((bc land cm) lor (bp land pm) lor (bv land vm))
+        end
+      done
+  | Security_second, Lp_k k ->
+      lpk_words ?ws sc g policy ~k ~dst ~attackers;
+      for v = 0 to n - 1 do
+        if kept v then tally ~d_ok:sc.d_ok.(v) ~m_ok:sc.m_ok.(v)
+      done);
+  let sources_of =
+    match keep with
+    | None -> fun _ -> n - 2
+    | Some s ->
+        let total = Prelude.Bitset.cardinal s in
+        let d_in = if Prelude.Bitset.mem s dst then 1 else 0 in
+        fun m -> total - d_in - if Prelude.Bitset.mem s m then 1 else 0
+  in
+  Array.mapi
+    (fun l m ->
+      let doomed = lane_count doomed l
+      and protectable = lane_count protectable l
+      and immune = lane_count immune l in
+      let sources = sources_of m in
+      {
+        doomed;
+        protectable;
+        immune;
+        unreachable = sources - doomed - protectable - immune;
+        sources;
+      })
+    attackers
+
 let sec3_count_batch ?ws g policy ~dst ~attackers =
   (match (policy : Routing.Policy.t).model with
   | Security_third -> ()
   | Security_first | Security_second ->
       invalid_arg "Partition.sec3_count_batch: policy is not security 3rd");
-  let n = Topology.Graph.n g in
-  let lanes = Array.length attackers in
-  let doomed = Array.make lanes 0
-  and protectable = Array.make lanes 0
-  and immune = Array.make lanes 0 in
-  let b =
-    Routing.Batch.compute ?ws g policy (Deployment.empty n) ~dst ~attackers
-  in
-  Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-      let open Routing.Engine.Packed in
-      if cls_code_of word <> 3 then begin
-        let tally =
-          if to_d_of word then
-            if to_m_of word then Some protectable else Some immune
-          else if to_m_of word then Some doomed
-          else None
-        in
-        match tally with
-        | Some t -> Prelude.Bitset.iter_word (fun l -> t.(l) <- t.(l) + 1) mask
-        | None -> ()
-      end);
-  let sources = n - 2 in
-  Array.init lanes (fun l ->
-      {
-        doomed = doomed.(l);
-        protectable = protectable.(l);
-        immune = immune.(l);
-        unreachable = sources - doomed.(l) - protectable.(l) - immune.(l);
-        sources;
-      })
-
-let count_among ?ws g policy ~attacker ~dst ~sources =
-  let classes = compute ?ws g policy ~attacker ~dst in
-  let keep = Hashtbl.create (Array.length sources) in
-  Array.iter (fun v -> Hashtbl.replace keep v ()) sources;
-  count_of_classes classes (fun v ->
-      v = attacker || v = dst || not (Hashtbl.mem keep v))
+  count_batch ?ws g policy ~dst ~attackers

@@ -76,22 +76,6 @@ val count :
   dst:int ->
   counts
 
-val sec3_count_batch :
-  ?ws:Routing.Batch.Workspace.t ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  dst:int ->
-  attackers:int array ->
-  counts array
-(** Security-3rd {!count} for every attacker of one destination off a
-    single batched solve ({!Routing.Batch}): the classification depends
-    only on the endpoint flags of the baseline attacked state, so one
-    drain serves up to [Routing.Batch.max_lanes] attackers.  Returns
-    the per-attacker counts in input order, bit-identical to calling
-    {!count} per pair.  Raises [Invalid_argument] if the policy's model
-    is not [Security_third] or the lane count is outside the batch
-    kernel's bounds. *)
-
 val count_among :
   ?ws:Routing.Engine.Workspace.t ->
   Topology.Graph.t ->
@@ -100,3 +84,78 @@ val count_among :
   dst:int ->
   sources:int array ->
   counts
+(** {!count} restricted to the distinct ASes of [sources] (the
+    attacker and the destination still excluded).  Raises
+    [Invalid_argument] when a source is out of range. *)
+
+(** {2 Batched partitions}
+
+    {!compute}, {!count} and {!count_among} classify one pair at a
+    time and are the oracle.  Production callers classify every
+    attacker of a destination at once with {!count_batch}. *)
+
+type fault = Unblocked_attackers
+(** A deliberately planted bug for the checker's mutant guard
+    ({!Check.Mutants}): [Unblocked_attackers] drops the per-lane
+    attacker block from the to-d closure of security 1st and 2nd.
+    Production callers never pass a fault. *)
+
+module Scratch : sig
+  type t
+  (** Reusable buffers for {!count_batch}: two lane closures
+      ({!Routing.Reach.Lanes}) and the LPk lane words, about 30 int
+      arrays of the graph's size, grown on demand.  Not thread-safe:
+      one per domain at a time.  Callers keep one for a run of
+      destination words and drop it afterwards, so nothing of size n
+      outlives the run. *)
+
+  val create : unit -> t
+end
+
+val count_batch :
+  ?ws:Routing.Batch.Workspace.t ->
+  ?scratch:Scratch.t ->
+  ?fault:fault ->
+  ?sources:int array ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  dst:int ->
+  attackers:int array ->
+  counts array
+(** [count_batch g policy ~dst ~attackers] returns, in input order, the
+    counts of every attacker of one destination.  Element [l] is
+    bit-identical to [count g policy ~attacker:attackers.(l) ~dst], or
+    with [sources] to [count_among ... ~sources], for every model and
+    local-preference variant.  Attackers may repeat.
+
+    Each attacker is a {e lane}, a bit of a native-int word, and each
+    model derives two lane words per AS — "a route to [d] survives" and
+    "a route to [m] can win" — from one shared computation:
+
+    - security 3rd: the endpoint flags of one batched baseline solve
+      ({!Routing.Batch}, Corollary E.1);
+    - security 1st and 2nd with the standard LP: one lane closure
+      rooted at [d] with lane [l] avoiding [attackers.(l)], and one
+      rooted at [attackers.(l)] in lane [l] avoiding [d]
+      ({!Routing.Reach.compute_lanes}; Observations E.3/E.4, Corollary
+      E.2);
+    - security 2nd with LPk: one batched baseline solve for the
+      per-lane class buckets, then the class-respecting customer DP,
+      peer step and provider closure on lane words.
+
+    [ws] serves the batched solve and [scratch] (default: fresh) the
+    lane words.  Raises [Invalid_argument] when the
+    lane count is outside [1 .. Routing.Batch.max_lanes], an id or a
+    source is out of range, or an attacker equals [dst]; raises
+    [Failure] for LPk with [k > 60] or a cyclic customer-provider
+    hierarchy, as {!compute} does. *)
+
+val sec3_count_batch :
+  ?ws:Routing.Batch.Workspace.t ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  dst:int ->
+  attackers:int array ->
+  counts array
+(** {!count_batch} restricted to security 3rd.  Raises
+    [Invalid_argument] if the policy's model is not [Security_third]. *)

@@ -61,3 +61,40 @@ val best_class : t -> int -> Policy.route_class option
     a perceivable route, [None] if unreachable. *)
 
 val in_class : t -> Policy.route_class -> int -> bool
+
+(** {2 Lane-parallel closures}
+
+    The partition layer needs the closures of every attacker sharing a
+    destination: rooted at [d] avoiding each [m], and rooted at each [m]
+    avoiding [d].  {!compute_lanes} runs up to
+    {!Prelude.Bitset.word_bits} of them in one traversal, one closure per
+    bit of a lane word (bit-parallel multi-source BFS). *)
+
+module Lanes : sig
+  type t
+  (** Reusable state for up to {!Prelude.Bitset.word_bits} closures:
+      per AS, three lane words (customer, peer, provider) and the
+      worklist.  Buffers grow on demand; a computation allocates
+      nothing once they fit the graph.  Not thread-safe: use one per
+      domain. *)
+
+  val create : unit -> t
+
+  val compute : t -> Topology.Graph.t -> roots:int array -> avoid:int array -> unit
+  (** [compute t g ~roots ~avoid] computes, in lane [l], the closure
+      [compute g ~root:roots.(l) ~avoid:avoid.(l) ()] and overwrites
+      [t] with it.  Lanes may share a root or an avoided AS.  An avoid
+      outside [0 .. n-1] (e.g. [-1]) avoids nothing, as in {!compute}.
+      Raises [Invalid_argument] when the lane count is outside
+      [1 .. Prelude.Bitset.word_bits], the arrays differ in length, a
+      root is out of range, or [roots.(l) = avoid.(l)]. *)
+
+  val customer : t -> int -> int
+  (** [customer t v]: the lanes in which [v] has a perceivable customer
+      route — bit [l] is [customer (compute ...) v] for lane [l]'s
+      closure.  Raises [Invalid_argument] unless [v] is an AS of the
+      last computed graph. *)
+
+  val peer : t -> int -> int
+  val provider : t -> int -> int
+end

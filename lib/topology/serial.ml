@@ -11,24 +11,33 @@ let to_string g =
     (List.sort compare (Graph.edges g));
   Buffer.contents buf
 
-(* Parse into raw (provider-ish) triples; relationship "-1" means the
-   first field is the provider of the second, "0" means peering.  Extra
-   fields (CAIDA as-rel2 appends the inference source) are ignored. *)
+(* Parse into raw (provider-ish) triples tagged with their 1-based line
+   number; relationship "-1" means the first field is the provider of
+   the second, "0" means peering.  Extra fields (CAIDA as-rel2 appends
+   the inference source) are ignored.  Everything {!Graph.of_edges}
+   would reject on the raw ids — a self loop, or an AS pair declared
+   with two different relationships — fails here with the line number;
+   repeating an identical edge is fine. *)
 let parse s =
   let lines = String.split_on_char '\n' s in
-  let n = ref (-1) in
+  let n = ref None in
   let triples = ref [] in
+  let seen = Hashtbl.create 1024 in
   List.iteri
     (fun lineno line ->
+      let lineno = lineno + 1 in
       let line = String.trim line in
-      let fail msg = failwith (Printf.sprintf "Serial: line %d: %s" (lineno + 1) msg) in
+      let fail msg = failwith (Printf.sprintf "Serial: line %d: %s" lineno msg) in
       if line = "" then ()
-      else if String.length line > 0 && line.[0] = '#' then begin
+      else if line.[0] = '#' then begin
         (* Recognize the "# n=<count>" header if present. *)
         match String.index_opt line '=' with
         | Some i when String.length line > 3 && String.sub line 1 2 = " n" -> (
             match int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1)) with
-            | Some v -> n := v
+            | Some v when v < 0 -> fail (Printf.sprintf "negative AS count %d" v)
+            | Some v when v > Sys.max_array_length ->
+                fail (Printf.sprintf "AS count %d too large" v)
+            | Some v -> n := Some (v, lineno)
             | None -> ())
         | _ -> ()
       end
@@ -36,11 +45,27 @@ let parse s =
         match String.split_on_char '|' line with
         | a :: b :: rel :: _ -> (
             match (int_of_string_opt a, int_of_string_opt b) with
-            | Some a, Some b -> (
-                match String.trim rel with
-                | "-1" -> triples := (a, b, `Provider_of) :: !triples
-                | "0" -> triples := (a, b, `Peer) :: !triples
-                | r -> fail (Printf.sprintf "unknown relationship %S" r))
+            | Some a, Some b ->
+                let rel =
+                  match String.trim rel with
+                  | "-1" -> `Provider_of
+                  | "0" -> `Peer
+                  | r -> fail (Printf.sprintf "unknown relationship %S" r)
+                in
+                if a = b then fail (Printf.sprintf "self loop at AS %d" a);
+                (* The edge in a direction-free form: which end pays. *)
+                let payer = match rel with `Provider_of -> b | `Peer -> -1 in
+                let key = (min a b, max a b) in
+                (match Hashtbl.find_opt seen key with
+                | Some (p, first) when p <> payer ->
+                    fail
+                      (Printf.sprintf
+                         "AS pair %d-%d conflicts with the relationship on \
+                          line %d"
+                         a b first)
+                | Some _ -> ()
+                | None -> Hashtbl.add seen key (payer, lineno));
+                triples := (lineno, a, b, rel) :: !triples
             | _ -> fail "non-integer AS id")
         | _ -> fail "expected <a>|<b>|<rel>")
     lines;
@@ -48,18 +73,36 @@ let parse s =
 
 let edges_of_triples triples =
   List.map
-    (fun (a, b, rel) ->
+    (fun (_, a, b, rel) ->
       match rel with
       | `Provider_of -> Graph.Customer_provider (b, a)
       | `Peer -> Graph.Peer_peer (a, b))
     triples
 
 let of_string s =
-  let header_n, triples = parse s in
-  let max_as =
-    List.fold_left (fun acc (a, b, _) -> max acc (max a b)) (-1) triples
+  let header, triples = parse s in
+  let n =
+    match header with
+    | Some (n, _) -> n
+    | None ->
+        List.fold_left (fun acc (_, a, b, _) -> max acc (max a b)) (-1) triples
+        + 1
   in
-  let n = if header_n >= 0 then header_n else max_as + 1 in
+  List.iter
+    (fun (lineno, a, b, _) ->
+      let bad = if a < 0 || a >= n then Some a else if b < 0 || b >= n then Some b else None in
+      Option.iter
+        (fun v ->
+          failwith
+            (match header with
+            | Some (_, hl) ->
+                Printf.sprintf
+                  "Serial: line %d: AS %d out of range [0, %d) set by the \
+                   header on line %d"
+                  lineno v n hl
+            | None -> Printf.sprintf "Serial: line %d: negative AS id %d" lineno v))
+        bad)
+    triples;
   Graph.of_edges ~n (edges_of_triples triples)
 
 let of_string_remapped s =
@@ -77,11 +120,11 @@ let of_string_remapped s =
   in
   let triples =
     List.map
-      (fun (a, b, rel) ->
+      (fun (lineno, a, b, rel) ->
         (* Explicit lets: ids are assigned in reading order. *)
         let a' = intern a in
         let b' = intern b in
-        (a', b', rel))
+        (lineno, a', b', rel))
       triples
   in
   let asns = Array.of_list (List.rev !order) in

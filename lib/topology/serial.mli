@@ -8,9 +8,14 @@
 val to_string : Graph.t -> string
 
 val of_string : string -> Graph.t
-(** Raises [Failure] with a line-numbered message on malformed input.
-    Lines with extra fields (e.g. CAIDA as-rel2's trailing source column)
-    are accepted; AS ids must be dense in [0, n). *)
+(** Raises [Failure] with a line-numbered message on malformed input:
+    a line that is not [<a>|<b>|<rel>], a non-integer AS id, an unknown
+    relationship, a negative [# n=] header, a self loop, an AS pair
+    declared with two different relationships, or an AS outside
+    [0, n) — [n] from the header, else one past the largest id.  No
+    other exception escapes.  Lines with extra fields (e.g. CAIDA
+    as-rel2's trailing source column) are accepted; an identical edge
+    may repeat. *)
 
 val save : string -> Graph.t -> unit
 val load : string -> Graph.t
@@ -18,7 +23,9 @@ val load : string -> Graph.t
 val of_string_remapped : string -> Graph.t * int array
 (** Like {!of_string}, but accepts arbitrary (sparse) AS numbers — as in
     real CAIDA relationship files — and maps them onto dense ids.  The
-    returned array gives the original AS number of each dense id. *)
+    returned array gives the original AS number of each dense id.  The
+    [# n=] header is ignored (but must not be negative); every other
+    defect raises the same line-numbered [Failure] as {!of_string}. *)
 
 val load_remapped : string -> Graph.t * int array
 

@@ -430,6 +430,86 @@ let test_sec3_count_batch =
         attackers;
       !ok)
 
+(* Every model and LP variant the partition layer classifies under. *)
+let partition_policies =
+  let lp k m = Policy.make ~lp:(Policy.Lp_k k) m in
+  [|
+    sec1; sec2; sec3;
+    lp 1 Policy.Security_second; lp 2 Policy.Security_second;
+    lp 60 Policy.Security_second; lp 2 Policy.Security_first;
+    lp 2 Policy.Security_third;
+  |]
+
+(* One destination, 1-63 attacker lanes (repeats allowed), a random
+   policy, and a random source subset half the time. *)
+let random_batch rng =
+  let g = random_graph rng ~max_n:30 in
+  let n = Graph.n g in
+  let dst = Rng.int rng n in
+  let lanes = 1 + Rng.int rng Batch.max_lanes in
+  let attackers =
+    Array.init lanes (fun _ ->
+        let m = Rng.int rng (n - 1) in
+        if m >= dst then m + 1 else m)
+  in
+  let policy =
+    partition_policies.(Rng.int rng (Array.length partition_policies))
+  in
+  (g, policy, dst, attackers)
+
+(* The batched partition counts = per-pair {!Partition.count}, lane by
+   lane, for every model. *)
+let test_count_batch =
+  qtest "batched partition counts = per-pair counts, every model"
+    ~count:400 (fun seed ->
+      let rng = Rng.create seed in
+      let g, policy, dst, attackers = random_batch rng in
+      let batch = Partition.count_batch g policy ~dst ~attackers in
+      Array.length batch = Array.length attackers
+      && Array.for_all2
+           (fun m got -> got = Partition.count g policy ~attacker:m ~dst)
+           attackers batch)
+
+(* Same with a source filter (duplicates allowed): = per-pair
+   {!Partition.count_among}. *)
+let test_count_batch_sources =
+  qtest "batched partition counts among sources = per-pair, every model"
+    ~count:400 (fun seed ->
+      let rng = Rng.create seed in
+      let g, policy, dst, attackers = random_batch rng in
+      let n = Graph.n g in
+      let sources = Array.init (Rng.int rng (n + 4)) (fun _ -> Rng.int rng n) in
+      let batch = Partition.count_batch ~sources g policy ~dst ~attackers in
+      Array.for_all2
+        (fun m got ->
+          got = Partition.count_among g policy ~attacker:m ~dst ~sources)
+        attackers batch)
+
+let test_count_batch_errors () =
+  let g = graph 3 [ c2p 0 1; c2p 1 2 ] in
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument ("Partition.count_batch: " ^ msg))
+      (fun () -> ignore (f ()))
+  in
+  raises "lane count out of range" (fun () ->
+      Partition.count_batch g sec2 ~dst:0 ~attackers:[||]);
+  raises "attacker = dst" (fun () ->
+      Partition.count_batch g sec2 ~dst:0 ~attackers:[| 1; 0 |]);
+  raises "attacker out of range" (fun () ->
+      Partition.count_batch g sec2 ~dst:0 ~attackers:[| 3 |]);
+  raises "dst out of range" (fun () ->
+      Partition.count_batch g sec2 ~dst:(-1) ~attackers:[| 1 |]);
+  raises "source out of range" (fun () ->
+      Partition.count_batch ~sources:[| 5 |] g sec2 ~dst:0 ~attackers:[| 1 |]);
+  (* LPk needs an acyclic hierarchy: the same Failure as the oracle. *)
+  let cyclic = graph 3 [ c2p 0 1; c2p 1 2; c2p 2 0 ] in
+  let lp2 = Policy.make ~lp:(Policy.Lp_k 2) Policy.Security_second in
+  let cycle = Failure "Partition: customer-provider hierarchy has a cycle" in
+  Alcotest.check_raises "oracle rejects a cycle" cycle (fun () ->
+      ignore (Partition.count cyclic lp2 ~attacker:1 ~dst:0));
+  Alcotest.check_raises "batch rejects a cycle" cycle (fun () ->
+      ignore (Partition.count_batch cyclic lp2 ~dst:0 ~attackers:[| 1 |]))
+
 let () =
   Alcotest.run "metric"
     [
@@ -456,5 +536,9 @@ let () =
           test_protectable_sec1;
           test_partition_bounds_metric;
           test_sec3_count_batch;
+          test_count_batch;
+          test_count_batch_sources;
+          Alcotest.test_case "batched count errors" `Quick
+            test_count_batch_errors;
         ] );
     ]

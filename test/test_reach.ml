@@ -138,6 +138,81 @@ let test_reach_overlay =
       done;
       !ok)
 
+(* Random annotated graph with no hierarchy constraint: customer-
+   provider cycles allowed, which the closures must handle too. *)
+let random_any_graph rng ~max_n =
+  let n = 2 + Rng.int rng (max_n - 1) in
+  let seen = Hashtbl.create 16 in
+  let edges = ref [] in
+  for _ = 1 to Rng.int rng (3 * n) do
+    let a = Rng.int rng n and b = Rng.int rng n in
+    let key = (min a b, max a b) in
+    if a <> b && not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
+      edges := (if Rng.bool rng then c2p a b else p2p a b) :: !edges
+    end
+  done;
+  graph n !edges
+
+(* Lane l of a lane closure = the scalar closure of (roots.(l),
+   avoid.(l)), for 1-63 lanes with repeated roots and avoids. *)
+let test_lanes_vs_scalar =
+  qtest "lane closures = per-lane scalar closures" ~count:300 (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        if Rng.bool rng then random_graph rng ~max_n:30
+        else random_any_graph rng ~max_n:30
+      in
+      let n = Graph.n g in
+      let lanes = 1 + Rng.int rng Batch.max_lanes in
+      let roots = Array.init lanes (fun _ -> Rng.int rng n) in
+      let avoid =
+        Array.map
+          (fun r ->
+            if Rng.int rng 8 = 0 then -1
+            else
+              let a = Rng.int rng (n - 1) in
+              if a >= r then a + 1 else a)
+          roots
+      in
+      let got = Reach.Lanes.create () in
+      (* Reuse across graph sizes: shrink, then the real graph. *)
+      Reach.Lanes.compute got (graph 2 [ c2p 0 1 ]) ~roots:[| 0 |] ~avoid:[| 1 |];
+      Reach.Lanes.compute got g ~roots ~avoid;
+      let ok = ref true in
+      Array.iteri
+        (fun l root ->
+          let r = Reach.compute g ~root ~avoid:avoid.(l) () in
+          let bit w = w land (1 lsl l) <> 0 in
+          for v = 0 to n - 1 do
+            if bit (Reach.Lanes.customer got v) <> Reach.customer r v
+               || bit (Reach.Lanes.peer got v) <> Reach.peer r v
+               || bit (Reach.Lanes.provider got v) <> Reach.provider r v
+            then ok := false
+          done)
+        roots;
+      !ok)
+
+let test_lanes_bad_args () =
+  let g = graph 3 [ c2p 0 1; c2p 1 2 ] in
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument ("Reach.Lanes.compute: " ^ msg))
+      (fun () -> f (Reach.Lanes.create ()))
+  in
+  raises "lane count out of range" (fun t ->
+      Reach.Lanes.compute t g ~roots:[||] ~avoid:[||]);
+  raises "roots and avoid differ in length" (fun t ->
+      Reach.Lanes.compute t g ~roots:[| 0 |] ~avoid:[||]);
+  raises "root out of range" (fun t ->
+      Reach.Lanes.compute t g ~roots:[| 3 |] ~avoid:[| 0 |]);
+  raises "root = avoid" (fun t ->
+      Reach.Lanes.compute t g ~roots:[| 1 |] ~avoid:[| 1 |]);
+  let t = Reach.Lanes.create () in
+  Reach.Lanes.compute t g ~roots:[| 0 |] ~avoid:[| 1 |];
+  Alcotest.check_raises "AS beyond the graph"
+    (Invalid_argument "Reach.Lanes: AS out of range") (fun () ->
+      ignore (Reach.Lanes.customer t 3))
+
 let () =
   Alcotest.run "reach"
     [
@@ -154,4 +229,9 @@ let () =
       ( "vs engine",
         [ test_reach_covers_engine; test_reach_sound_vs_engine ] );
       ("overlay", [ test_reach_overlay ]);
+      ( "lanes",
+        [
+          test_lanes_vs_scalar;
+          Alcotest.test_case "bad arguments" `Quick test_lanes_bad_args;
+        ] );
     ]

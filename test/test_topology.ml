@@ -70,6 +70,55 @@ let test_serial_errors () =
   Alcotest.check_raises "bad id" (Failure "Serial: line 1: non-integer AS id")
     (fun () -> ignore (Serial.of_string "a|2|0"))
 
+(* Each defect Graph.of_edges would reject surfaces as the documented
+   line-numbered Failure, never as Invalid_argument. *)
+let test_serial_edge_errors () =
+  let fails msg text =
+    Alcotest.check_raises msg (Failure msg) (fun () ->
+        ignore (Serial.of_string text))
+  in
+  fails "Serial: line 2: AS 3 out of range [0, 3) set by the header on line 1"
+    "# n=3\n0|3|-1\n";
+  fails "Serial: line 1: negative AS id -2" "-2|1|0\n";
+  fails "Serial: line 2: self loop at AS 1" "0|1|0\n1|1|-1\n";
+  fails "Serial: line 2: AS pair 1-0 conflicts with the relationship on line 1"
+    "0|1|-1\n1|0|-1\n";
+  fails "Serial: line 3: AS pair 1-2 conflicts with the relationship on line 1"
+    "2|1|0\n0|1|0\n1|2|-1\n";
+  fails "Serial: line 1: negative AS count -4" "# n=-4\n";
+  Alcotest.check_raises "remapped self loop"
+    (Failure "Serial: line 1: self loop at AS 7") (fun () ->
+      ignore (Serial.of_string_remapped "7|7|0\n"));
+  (* A repeated identical edge (either spelling of a peering) is fine. *)
+  let g = Serial.of_string "0|1|-1\n0|1|-1\n2|1|0\n1|2|0\n" in
+  Alcotest.(check int) "duplicates collapse" 2
+    (Graph.num_customer_provider_edges g + Graph.num_peer_edges g)
+
+(* Byte-mutated serializations: either a graph or the documented
+   Failure — no other exception may escape either parser. *)
+let test_serial_mutation =
+  qtest "byte-mutated text graphs raise only Failure" ~count:3000 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:12 in
+      let b = Bytes.of_string (Serial.to_string g) in
+      let alphabet = "0123456789|-#n= \nx" in
+      for _ = 0 to Rng.int rng 3 do
+        Bytes.set b
+          (Rng.int rng (Bytes.length b))
+          alphabet.[Rng.int rng (String.length alphabet)]
+      done;
+      let text = Bytes.to_string b in
+      let only_failure f =
+        match f text with
+        | _ -> true
+        | exception Failure _ -> true
+        | exception e ->
+            Printf.eprintf "escaped %s on %S\n%!" (Printexc.to_string e) text;
+            false
+      in
+      only_failure (fun t -> ignore (Serial.of_string t))
+      && only_failure (fun t -> ignore (Serial.of_string_remapped t)))
+
 let test_serial_remapped () =
   (* Real-world style: sparse ASNs and a trailing source column. *)
   let text = "# comment\n3356|21740|-1|bgp\n174|3356|0|mlp\n3356|1299|-1\n" in
@@ -370,6 +419,8 @@ let () =
           test_serial_roundtrip;
           Alcotest.test_case "format" `Quick test_serial_format;
           Alcotest.test_case "errors" `Quick test_serial_errors;
+          Alcotest.test_case "edge errors" `Quick test_serial_edge_errors;
+          test_serial_mutation;
           Alcotest.test_case "file round trip" `Quick test_serial_file_roundtrip;
           Alcotest.test_case "sparse ASN remapping" `Quick test_serial_remapped;
           Alcotest.test_case "extra fields tolerated" `Quick

@@ -97,6 +97,13 @@ echo "== batch bench (smoke)"
 SBGP_BENCH_ONLY=batch SBGP_BENCH_N=250 SBGP_BENCH_BATCH_DSTS=2 \
   SBGP_BENCH_BATCH_REPS=1 dune exec bench/main.exe
 
+echo "== sbgp check --kernel partition sub-pass (smoke)"
+# Batched partition counts (every model, 1/7/63 lanes, with and without
+# a source filter) against the per-pair oracle on a toy graph; the
+# partition-unblocked-attacker mutant in the check smoke above proves
+# the sub-pass catches a dropped attacker block.
+dune exec bin/sbgp.exe -- check --kernel -n 150 --pairs 4
+
 echo "== sbgp check --optimize (smoke)"
 # The Max-k optimizer differential gate on its own: CELF must replay the
 # naive greedy's pick sequence bit-for-bit on the set-cover gadget and
