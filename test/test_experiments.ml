@@ -109,16 +109,61 @@ let test_registry () =
   Alcotest.(check bool) "find rejects junk" true
     (Experiments.Registry.find "nope" = None)
 
+(* Pinned outputs of the partition-layer experiments (Figures 3-6 and
+   24-25) on the toy contexts above: an MD5 of each experiment's full
+   output string.  Any change to how partitions are computed must keep
+   these byte-identical; changing a digest is a deliberate act that is
+   recorded in CHANGES.md. *)
+let pinned_digests =
+  [
+    ("base", "partitions", "dc126dc6463ea2f1ca7cb141326c9810");
+    ("base", "partitions-tier", "91ab087b9da63f4e3f02154bb9977e1a");
+    ("base", "lpk", "538269c3e72a2cd40dde9fac5fab9c59");
+    ("ixp", "partitions", "203085181e2dfb172e8f47c4a9f37de0");
+    ("ixp", "partitions-tier", "710823b29f34b171610509c77a553541");
+    ("ixp", "lpk", "63f52520e1605510ef1bf3692dd5b258");
+  ]
+
+(* Pinned outputs of every experiment on the base context, and of the
+   baseline on the IXP context: an MD5 of each experiment's full output
+   string.  Like [pinned_digests], changing one is a deliberate
+   act recorded in CHANGES.md. *)
+let run_digests =
+  [
+    ("base", "baseline", "ed2df81eded03567de041f1be12f03b0");
+    ("base", "rollout", "2eecd77d1df7db4d52aedc0257f741d9");
+    ("base", "per-destination", "986cd3678b571ad83bc89f2cfa6138b3");
+    ("base", "cp-fate", "b9767c146769784e75eda1c48a3c4038");
+    ("base", "early-adopters", "516848784a6b678ed0424311163cc682");
+    ("base", "root-cause", "9cf009daebe26782be2aec6b4f23735b");
+    ("base", "phenomena", "a4e7b433e66c9c5a75a562eb25b917f1");
+    ("base", "attacks", "7addaa88de312234d12f4b51fc9da69b");
+    ("base", "extensions", "320b09ccda8c1aedb2f9caec5e85c853");
+    ("base", "anecdotes", "52fa57a4102910a2dd57c67a51dfffa5");
+    ("base", "optimize", "dbeb24b6c361d87d70630eb5e6044392");
+    ("ixp", "baseline", "f06baa917ad3f347e7abf0097ececf52");
+  ]
+
 let experiment_case entry =
-  Alcotest.test_case entry.Experiments.Registry.id `Slow (fun () ->
+  let id = entry.Experiments.Registry.id in
+  Alcotest.test_case id `Slow (fun () ->
       let out = entry.Experiments.Registry.run (Lazy.force ctx) in
-      Alcotest.(check bool)
-        (entry.Experiments.Registry.id ^ " produces output")
-        true
-        (String.length out > 100);
+      let expected =
+        List.find_map
+          (fun (label, id', d) ->
+            if label = "base" && id' = id then Some d else None)
+          (pinned_digests @ run_digests)
+      in
+      (match expected with
+      | Some d ->
+          Alcotest.(check string)
+            ("base:" ^ id ^ " output digest")
+            d
+            (Digest.to_hex (Digest.string out))
+      | None -> Alcotest.failf "no pinned digest for base:%s" id);
       (* Every experiment quotes its paper anchor in the header. *)
       Alcotest.(check bool)
-        (entry.Experiments.Registry.id ^ " mentions the paper")
+        (id ^ " mentions the paper")
         true
         (String.length entry.Experiments.Registry.paper > 0))
 
@@ -162,21 +207,6 @@ let test_seed_stability () =
     true
     (abs_float (i1 -. i2) < 0.12)
 
-(* Pinned outputs of the partition-layer experiments (Figures 3-6 and
-   24-25) on the toy contexts above: an MD5 of each experiment's full
-   output string.  Any change to how partitions are computed must keep
-   these byte-identical; changing a digest is a deliberate act that is
-   recorded in CHANGES.md. *)
-let pinned_digests =
-  [
-    ("base", "partitions", "dc126dc6463ea2f1ca7cb141326c9810");
-    ("base", "partitions-tier", "91ab087b9da63f4e3f02154bb9977e1a");
-    ("base", "lpk", "538269c3e72a2cd40dde9fac5fab9c59");
-    ("ixp", "partitions", "203085181e2dfb172e8f47c4a9f37de0");
-    ("ixp", "partitions-tier", "710823b29f34b171610509c77a553541");
-    ("ixp", "lpk", "63f52520e1605510ef1bf3692dd5b258");
-  ]
-
 let pinned_case (label, id, expected) =
   Alcotest.test_case (label ^ ":" ^ id) `Slow (fun () ->
       let c = Lazy.force (if label = "ixp" then ixp_ctx else ctx) in
@@ -210,4 +240,7 @@ let () =
       ( "runs end to end",
         List.map experiment_case Experiments.Registry.all );
       ("pinned partition outputs", List.map pinned_case pinned_digests);
+      ( "pinned outputs",
+        List.map pinned_case
+          (List.filter (fun (label, _, _) -> label <> "base") run_digests) );
     ]
