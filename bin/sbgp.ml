@@ -3,9 +3,43 @@
 
 open Cmdliner
 
+(* Size, scale and domain inputs are validated at parse time, so a bad
+   value fails naming its flag (cmdliner's usage error, exit 124)
+   instead of surfacing later as an uncaught exception or a silently
+   clamped sample size. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some d when d >= 1 -> Ok d
+    | Some _ -> Error (`Msg "must be >= 1")
+    | None -> Error (`Msg "expected an integer")
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0. -> Ok v
+    | Some _ -> Error (`Msg "must be a finite number > 0")
+    | None -> Error (`Msg "expected a number")
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let n_arg =
   let doc = "Number of ASes in the synthetic topology." in
-  Arg.(value & opt int 4000 & info [ "n"; "size" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 4000 & info [ "n"; "size" ] ~docv:"N" ~doc)
+
+(* Topogen rejects a size too small for its tier layout with
+   [Invalid_argument]; report that against the flag rather than as
+   cmdliner's "internal error". *)
+let size_guard n f =
+  match f () with
+  | r -> r
+  | exception Invalid_argument msg
+    when String.starts_with ~prefix:"Topogen.generate" msg ->
+      Printf.eprintf "sbgp: option '-n' (--size): %d is too small (%s)\n%!"
+        n msg;
+      exit Cmd.Exit.cli_error
 
 let seed_arg =
   let doc = "Seed for topology generation and sampling." in
@@ -23,7 +57,7 @@ let scale_arg =
     "Multiply every sample size (attackers, destinations) by this factor; \
      larger is slower and closer to the paper's exhaustive averages."
   in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
+  Arg.(value & opt positive_float 1.0 & info [ "scale" ] ~docv:"S" ~doc)
 
 let domains_arg =
   let doc =
@@ -31,17 +65,10 @@ let domains_arg =
      (default: the SBGP_DOMAINS environment variable, else the number of \
      cores).  Results are identical for every value."
   in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some d when d >= 1 -> Ok d
-      | Some _ -> Error (`Msg "must be >= 1")
-      | None -> Error (`Msg "expected an integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
-    value & opt (some positive) None & info [ "domains"; "j" ] ~docv:"D" ~doc)
+    value
+    & opt (some positive_int) None
+    & info [ "domains"; "j" ] ~docv:"D" ~doc)
 
 let graph_arg =
   let doc =
@@ -74,7 +101,9 @@ let load_graph path =
 
 let context n seed ixp scale domains graph_file =
   match graph_file with
-  | None -> Core.Experiments.Context.make ~n ~seed ~ixp ~scale ?domains ()
+  | None ->
+      size_guard n (fun () ->
+          Core.Experiments.Context.make ~n ~seed ~ixp ~scale ?domains ())
   | Some path ->
       let g = load_graph path in
       let g =
@@ -111,9 +140,10 @@ let gen_cmd =
   in
   let run n seed ixp out snapshot =
     let r =
-      Core.Topogen.generate
-        ~params:(Core.Topogen.default_params ~n)
-        (Core.Rng.create seed)
+      size_guard n (fun () ->
+          Core.Topogen.generate
+            ~params:(Core.Topogen.default_params ~n)
+            (Core.Rng.create seed))
     in
     let g, added =
       if ixp then Core.Ixp.augment (Core.Rng.create (seed + 1)) r.Core.Topogen.graph
@@ -190,24 +220,10 @@ let exp_cmd =
              check`) before running anything, and abort on errors.  Also \
              enabled by SBGP_CHECK=1 in the environment.")
   in
-  let batch_arg =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "batch" ] ~docv:"BOOL"
-          ~doc:
-            "Force the destination-major batched routing kernel on or off \
-             for H-metric evaluation (default: on).  Equivalent to setting \
-             the SBGP_BATCH environment variable; results are bit-identical \
-             either way.  Partition counts always use the batched path.")
-  in
-  let run n seed ixp scale domains graph_file out_dir check batch which =
+  let run n seed ixp scale domains graph_file out_dir check which =
     (match out_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
-    (match batch with
-    | Some b -> Unix.putenv "SBGP_BATCH" (if b then "1" else "0")
-    | None -> ());
     let ctx = context n seed ixp scale domains graph_file in
     Printf.printf "context: %s\n\n%!" (Core.Experiments.Context.describe ctx);
     if check || Core.Check.enabled () then begin
@@ -240,7 +256,7 @@ let exp_cmd =
        ~doc:"Run one or more experiments (all of them by default).")
     Term.(
       const run $ n_arg $ seed_arg $ ixp_arg $ scale_arg $ domains_arg
-      $ graph_arg $ out_dir $ check_flag $ batch_arg $ which)
+      $ graph_arg $ out_dir $ check_flag $ which)
 
 let check_cmd =
   let pairs_arg =

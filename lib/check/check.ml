@@ -159,13 +159,18 @@ let kernel_pass options g =
   let n = G.n g in
   let rng = Rng.create (options.seed + 4) in
   let pairs = sample_pairs rng n (max 1 (options.pairs / 2)) in
+  (* The default policies all use standard local preference; one LPk
+     variant keeps the LPk rank encoding gated on generated topologies. *)
+  let policies =
+    options.policies @ [ P.make ~lp:(P.Lp_k 2) P.Security_third ]
+  in
   let items, diags =
-    Kernel.analyze ~attacker_claim:options.attacker_claim g options.policies
+    Kernel.analyze ~attacker_claim:options.attacker_claim g policies
       (dep_mixed n) pairs
   in
   let bitems, bdiags =
-    Kernel.analyze_batch ~attacker_claim:options.attacker_claim g
-      options.policies (dep_mixed n) (sample_batches rng n)
+    Kernel.analyze_batch ~attacker_claim:options.attacker_claim g policies
+      (dep_mixed n) (sample_batches rng n)
   in
   (* Partition sub-pass: batched partition counts against the per-pair
      oracle over the same lane-count spectrum. *)

@@ -4,8 +4,11 @@
     steps from the empty deployment plus one final downgrade — through a
     {!Metric.H_metric.Evaluator} and demands that every per-pair bound
     and every aggregate it produces is {e bit-identical} to a
-    from-scratch engine computation at that step.  Any divergence is an
-    [inc/divergence] error naming the policy, step, and first offending
+    from-scratch engine computation at that step.  A second cache follows
+    the same chain through {!Metric.H_metric.Cache.carry} (the reuse path
+    of the per-destination rollout columns) plus [h_metric ~cache], and
+    each of its entries is held to the same standard.  Any divergence is
+    an [inc/divergence] error naming the policy, step, and offending
     (attacker, destination) pair. *)
 
 val analyze :

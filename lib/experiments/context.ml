@@ -45,7 +45,16 @@ let finish ~label ~seed ~scale ~domains graph cps =
 let pool t = Lazy.force t.pool_cell
 let cache t = Lazy.force t.cache_cell
 
+(* [scaled] clamps every sample to at least one element, so a zero,
+   negative or NaN scale would otherwise run each experiment on a single
+   sample without complaint. *)
+let check_scale scale =
+  if not (Float.is_finite scale && scale > 0.) then
+    invalid_arg
+      (Printf.sprintf "Context: scale must be finite and > 0 (got %g)" scale)
+
 let make ?(n = 4000) ?(seed = 42) ?(ixp = false) ?(scale = 1.) ?domains () =
+  check_scale scale;
   let r = Topogen.generate ~params:(Topogen.default_params ~n) (Rng.create seed) in
   let graph, label =
     if ixp then begin
@@ -57,6 +66,7 @@ let make ?(n = 4000) ?(seed = 42) ?(ixp = false) ?(scale = 1.) ?domains () =
   finish ~label ~seed ~scale ~domains graph r.Topogen.cps
 
 let of_graph ?(seed = 42) ?(scale = 1.) ?domains ~label graph ~cps =
+  check_scale scale;
   finish ~label ~seed ~scale ~domains graph cps
 
 let rng t purpose =

@@ -30,13 +30,16 @@ val make :
     [domains] from [SBGP_DOMAINS] / the runtime's recommendation.
     Deterministic: the same arguments produce the same context — and the
     experiment output does not depend on [domains] (per-pair results are
-    reduced in a fixed order). *)
+    reduced in a fixed order).
+    @raise Invalid_argument naming [scale] when [scale] is not finite or
+    not positive. *)
 
 val of_graph :
   ?seed:int -> ?scale:float -> ?domains:int -> label:string ->
   Topology.Graph.t -> cps:int array -> t
 (** Wrap an externally loaded graph (e.g. real CAIDA data via
-    {!Topology.Serial}). *)
+    {!Topology.Serial}).
+    @raise Invalid_argument naming [scale] as {!make} does. *)
 
 val pool : t -> Parallel.Pool.t
 (** The context's worker pool, created lazily on first use ([domains]

@@ -61,8 +61,10 @@ val pair_bounds :
   pair ->
   bounds
 (** Happy-source bounds of a single (attacker, destination) pair — one
-    stable-state computation.  This is the per-pair quantity {!h_metric}
-    averages and the unit the incremental machinery caches and checks. *)
+    scalar {!Routing.Engine} solve.  This is the per-pair quantity
+    {!h_metric} averages and the unit the incremental machinery caches;
+    the batched paths never call it, so it serves as their oracle in the
+    incremental and topology checks and the metric tests. *)
 
 (** Concurrent memo cache of per-pair {!bounds}, keyed by
     policy x (topology, deployment) version x pair.  Versions are
@@ -138,14 +140,6 @@ module Cache : sig
   val clear : t -> unit
 end
 
-val batch_enabled : unit -> bool
-(** Whether the destination-major batched kernel ({!Routing.Batch})
-    drives the metric paths.  Default on; setting [SBGP_BATCH] to [0],
-    [false], [no] or [off] forces the scalar per-pair engine.  The two
-    paths are bit-identical — the switch exists for benchmarking and
-    divergence triage, not for correctness.  Partition counts
-    ({!Partition.count_batch}) do not read it: they have one path. *)
-
 val batch_plan : pair array -> (int * int array * int array) array
 (** Group pairs by destination (first-seen input order, deterministic)
     and chunk each destination's attacker list into words of at most
@@ -165,25 +159,24 @@ val h_metric :
   pair array ->
   bounds
 (** [H_{M,D}(S)] estimated over the given attacker-destination pairs.
-    By default, pairs sharing a destination are solved together by the
+    Pairs sharing a destination are solved together by the
     destination-major batched kernel — one routing-tree drain per
     {!Routing.Batch.max_lanes} attackers — with per-lane counts folded
-    straight off the packed lane groups; see {!batch_enabled} to force
-    the scalar path.  [pool] fans the pairs out over a persistent worker
-    pool; otherwise
-    [domains > 1] borrows the default pool (the pairs are independent and
-    the graph is read-only).  Every domain — including the sequential
-    path — reuses its private {!Routing.Engine.Workspace}, and the
-    per-pair results are reduced in input order, so the value is
-    bit-identical whatever the parallelism.
+    straight off the packed lane groups; each pair's bounds are
+    bit-identical to {!pair_bounds}.  [pool] fans the destination words
+    out over a persistent worker pool; otherwise [domains > 1] borrows
+    the default pool (the words are independent and the graph is
+    read-only).  Every domain reuses its private
+    {!Routing.Batch.Workspace}, and the per-pair results are reduced in
+    input order, so the value is bit-identical whatever the parallelism.
 
-    [progress done total] ticks after each pair on the sequential path.
-    On the pooled path it is invoked from the calling domain only, for
-    the caller's share of the stolen work — it still ticks throughout the
-    job but [done] stops short of [total]; it never fires from a worker
-    domain.
+    [progress done total] ticks once per covered pair: first for the
+    cache hits, then as the calling domain finishes its words.  On a
+    pool it is invoked from the calling domain only, for the caller's
+    share of the stolen words — it still ticks throughout the job but
+    [done] stops short of [total]; it never fires from a worker domain.
 
-    [cache] memoizes per-pair bounds across calls (hits skip the engine
+    [cache] memoizes per-pair bounds across calls (hits skip the kernel
     entirely); the cache must belong to this graph. *)
 
 val h_metric_per_dst :

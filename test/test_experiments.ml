@@ -92,6 +92,29 @@ let test_context_scaled () =
   let c' = Experiments.Context.make ~n:1200 ~scale:0.01 () in
   Alcotest.(check int) "never below 1" 1 (Experiments.Context.scaled c' 10)
 
+(* A scale that is zero, negative or not finite is rejected by name
+   rather than clamped to one sample per experiment. *)
+let test_context_bad_scale () =
+  let g = (Lazy.force ctx).Experiments.Context.graph in
+  let rejects what f =
+    match f () with
+    | (_ : Experiments.Context.t) ->
+        Alcotest.failf "%s: bad scale accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names scale" what msg)
+          true
+          (String.starts_with ~prefix:"Context: scale" msg)
+  in
+  List.iter
+    (fun scale ->
+      let what = Printf.sprintf "scale=%g" scale in
+      rejects ("make " ^ what) (fun () ->
+          Experiments.Context.make ~n:1200 ~scale ());
+      rejects ("of_graph " ^ what) (fun () ->
+          Experiments.Context.of_graph ~scale ~label:"t" g ~cps:[||]))
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
 let test_ixp_context () =
   let base = Lazy.force ctx and ixp = Lazy.force ixp_ctx in
   Alcotest.(check string) "label" "ixp" ixp.Experiments.Context.label;
@@ -232,6 +255,8 @@ let () =
             test_sample_key_reuse;
           Alcotest.test_case "priority sampling" `Quick test_priority_sample;
           Alcotest.test_case "scaled" `Quick test_context_scaled;
+          Alcotest.test_case "bad scale rejected" `Quick
+            test_context_bad_scale;
           Alcotest.test_case "ixp variant" `Quick test_ixp_context;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "baseline ballpark" `Slow test_baseline_value;

@@ -115,20 +115,31 @@ let test_pool_metric_agrees () =
   let attackers = Rng.sample_without_replacement rng 7 n in
   let dsts = Rng.sample_without_replacement rng 7 n in
   let pairs = Metric.pairs ~attackers ~dsts () in
-  let dep = Deployment.empty n in
+  (* The empty deployment collapses the three models onto one outcome;
+     the Tier 1+2 rollout point keeps them apart. *)
+  let deps =
+    [
+      ("empty", Deployment.empty n);
+      ( "T1+T2",
+        Deployment.tier1_tier2 g (Topogen.tiers r) ~n_t1:13 ~n_t2:50 );
+    ]
+  in
   let pool = Parallel.Pool.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Parallel.Pool.shutdown pool)
     (fun () ->
       List.iter
-        (fun model ->
-          let policy = Policy.make model in
-          let seq = Metric.h_metric g policy dep pairs in
-          let par = Metric.h_metric ~pool g policy dep pairs in
-          Alcotest.(check bool)
-            (Policy.name policy ^ " identical")
-            true (seq = par))
-        Policy.[ Security_first; Security_second; Security_third ])
+        (fun (dname, dep) ->
+          List.iter
+            (fun model ->
+              let policy = Policy.make model in
+              let seq = Metric.h_metric g policy dep pairs in
+              let par = Metric.h_metric ~pool g policy dep pairs in
+              Alcotest.(check bool)
+                (Policy.name policy ^ " " ^ dname ^ " identical")
+                true (seq = par))
+            Policy.[ Security_first; Security_second; Security_third ])
+        deps)
 
 let outcomes_equal a b =
   let n = Outcome.n a in

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI entry point: typed-AST lint, build, tests, opam metadata lint, and
-# a fast `sbgp check` smoke (all three checker passes + the mutant
-# self-test on a small generated topology).  Any failing step aborts.
+# fast `sbgp check` smokes (every checker pass + the mutant self-test on
+# small generated topologies), plus the CLI's input-error contract.  Any
+# failing step aborts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,24 +80,6 @@ echo "== sbgp check (smoke)"
 dune exec bin/sbgp.exe -- check -n 150 --pairs 6 --det-pairs 3 --mutants \
   --incremental --inc-pairs 4
 
-echo "== rollout bench (smoke)"
-# Tiny-scale run of the incremental-vs-scratch rollout benchmark: the
-# bit-identity cross-check inside the bench is the point, not the timing.
-SBGP_BENCH_ONLY=rollout SBGP_BENCH_N=300 SBGP_SCALE=0.2 \
-  SBGP_BENCH_LABEL=ci dune exec bench/main.exe -- --json
-
-echo "== kernel bench (smoke)"
-# Toy-scale run of the packed-vs-reference kernel benchmark: the
-# Check.Kernel bit-identity gate inside it is the point, not the timing.
-SBGP_BENCH_ONLY=kernel SBGP_BENCH_N=250 SBGP_BENCH_KERNEL_PAIRS=10 \
-  SBGP_BENCH_KERNEL_REPS=1 dune exec bench/main.exe
-
-echo "== batch bench (smoke)"
-# Toy-scale run of the destination-major batched kernel benchmark: the
-# analyze_batch lane-decode identity gate inside it is the point.
-SBGP_BENCH_ONLY=batch SBGP_BENCH_N=250 SBGP_BENCH_BATCH_DSTS=2 \
-  SBGP_BENCH_BATCH_REPS=1 dune exec bench/main.exe
-
 echo "== sbgp check --kernel partition sub-pass (smoke)"
 # Batched partition counts (every model, 1/7/63 lanes, with and without
 # a source filter) against the per-pair oracle on a toy graph; the
@@ -109,12 +92,6 @@ echo "== sbgp check --optimize (smoke)"
 # naive greedy's pick sequence bit-for-bit on the set-cover gadget and
 # seeded random instances.
 dune exec bin/sbgp.exe -- check --optimize -n 150
-
-echo "== optimize bench (smoke)"
-# Toy-scale run of the CELF-vs-naive-greedy optimizer benchmark: the
-# Check.Optimize identity gate inside it is the point, not the timing.
-SBGP_BENCH_ONLY=optimize SBGP_BENCH_N=250 SBGP_BENCH_OPT_CANDS=8 \
-  SBGP_BENCH_OPT_K=3 dune exec bench/main.exe
 
 echo "== snapshot round trip + sbgp check --kernel (smoke)"
 # Emit a toy binary snapshot alongside the text graph, then drive the
@@ -129,11 +106,31 @@ dune exec bin/sbgp.exe -- check --topology --graph "$snap_dir/toy.snap" \
   --inc-pairs 4
 rm -rf "$snap_dir"
 
-echo "== topology bench (smoke)"
-# Toy-scale run of the snapshot-load + delta-replay benchmark: the CSR
-# bit-identity gate and the replay-vs-scratch identity gate inside it
-# are the point, not the timing.
-SBGP_BENCH_ONLY=topology SBGP_BENCH_N=300 SBGP_BENCH_TOPO_STEPS=4 \
-  dune exec bench/main.exe
+echo "== CLI size/scale inputs fail by name (smoke)"
+# A bad -n/--size or --scale must be a usage error that names the flag:
+# not exit 0 on a silently clamped sample size, and not cmdliner's
+# "internal error" exit 125 from an escaped Topogen exception.
+cli_dir=$(mktemp -d)
+expect_flag_error() {
+  flag=$1
+  shift
+  if dune exec bin/sbgp.exe -- "$@" > "$cli_dir/out" 2>&1; then
+    echo "sbgp $*: exited 0"; exit 1
+  else
+    code=$?
+  fi
+  if [ "$code" -eq 125 ]; then
+    echo "sbgp $*: uncaught exception (exit 125)"; cat "$cli_dir/out"; exit 1
+  fi
+  grep -q -e "'$flag'" "$cli_dir/out" || {
+    echo "sbgp $*: error does not name $flag"; cat "$cli_dir/out"; exit 1; }
+}
+expect_flag_error -n gen -n 3 -o "$cli_dir/g.txt"
+expect_flag_error --size run --size=0 baseline
+expect_flag_error -n check -n 0
+expect_flag_error --scale run --scale 0 baseline
+expect_flag_error --scale run --scale nan baseline
+expect_flag_error --scale run --scale=-1 baseline
+rm -rf "$cli_dir"
 
 echo "ci: all green"
