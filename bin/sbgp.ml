@@ -92,12 +92,21 @@ let is_snapshot path =
       let b = really_input_string ic m in
       String.equal b Core.Serial.snapshot_magic)
 
+(* An unreadable or malformed graph file is a usage error naming the
+   flag and the file (exit 124), like a bad -n or --scale, not
+   cmdliner's "internal error". *)
 let load_graph path =
-  if is_snapshot path then Core.Serial.load_snapshot path
-  else
-    (* Real CAIDA relationship files use sparse AS numbers; remap them
-       onto dense ids. *)
-    fst (Core.Serial.load_remapped path)
+  match
+    if is_snapshot path then Core.Serial.load_snapshot path
+    else
+      (* Real CAIDA relationship files use sparse AS numbers; remap them
+         onto dense ids. *)
+      fst (Core.Serial.load_remapped path)
+  with
+  | g -> g
+  | exception (Sys_error msg | Failure msg) ->
+      Printf.eprintf "sbgp: option '--graph': cannot load %s: %s\n%!" path msg;
+      exit Cmd.Exit.cli_error
 
 let context n seed ixp scale domains graph_file =
   match graph_file with
@@ -349,9 +358,7 @@ let check_cmd =
           ~doc:
             "Run only the topology pass: the off-heap CSR is compared \
              against the adjacency-table view, binary snapshots must \
-             round-trip bit-identically (and reject a corrupted payload), \
-             and topology-delta replay must be bit-identical to \
-             from-scratch computation along a seeded delta chain.")
+             round-trip bit-identically and reject a corrupted payload.")
   in
   let alloc_arg =
     Arg.(
@@ -360,8 +367,7 @@ let check_cmd =
           ~doc:
             "Run only the allocation gate: minor words per (destination, \
              attacker) pair of the scalar, batched and reference kernels \
-             with reused workspaces, measured against recorded budgets \
-             (override with SBGP_ALLOC_BUDGET_{SCALAR,BATCH,REFERENCE}); \
+             with reused workspaces, measured against recorded budgets; \
              every measured loop is identity-gated and a cold-vs-warm \
              probe of the metric cache demands bit-identical H.  Runs \
              single-domain — the dynamic complement of the static \
@@ -450,7 +456,7 @@ let check_cmd =
             ~pool:(Core.Experiments.Context.pool ctx)
             ctx.Core.Experiments.Context.graph
         else if topology then
-          Core.Check.run_topology ~options ctx.Core.Experiments.Context.graph
+          Core.Check.run_topology ctx.Core.Experiments.Context.graph
         else if alloc then
           Core.Check.run_alloc ~options ctx.Core.Experiments.Context.graph
         else

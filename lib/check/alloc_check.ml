@@ -6,8 +6,7 @@
    inlining, [@inline] hints, unboxing, Simplif's reference elimination
    (DESIGN.md §16).  Three kernels are replayed single-domain over a
    deterministic pair sample with reused workspaces, and the observed
-   [Gc.minor_words] per pair is compared against a recorded budget
-   (env-overridable, SBGP_ALLOC_BUDGET_{SCALAR,BATCH,REFERENCE}).
+   [Gc.minor_words] per pair is compared against a recorded budget.
 
    Every measurement is identity-gated: the outcome produced inside the
    measured loop must be bit-identical to a fresh-buffer computation of
@@ -44,22 +43,6 @@ type budgets = { scalar : float; batch : float; reference : float }
    closure regression still trips it. *)
 let default_budgets = { scalar = 512.0; batch = 8.0; reference = 44.0 }
 
-let env_budget name fallback =
-  match Sys.getenv_opt name with
-  | None -> fallback
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0.0 -> v
-      | _ -> fallback)
-
-let budgets () =
-  {
-    scalar = env_budget "SBGP_ALLOC_BUDGET_SCALAR" default_budgets.scalar;
-    batch = env_budget "SBGP_ALLOC_BUDGET_BATCH" default_budgets.batch;
-    reference =
-      env_budget "SBGP_ALLOC_BUDGET_REFERENCE" default_budgets.reference;
-  }
-
 let dep_mixed n =
   Deployment.of_modes
     (Array.init n (fun v ->
@@ -95,7 +78,7 @@ let identity_diag ~kernel detail =
        "%s kernel produced a different outcome inside the measured \
         allocation loop than with fresh buffers: %s" kernel detail)
 
-let analyze ?(budgets = budgets ()) ?(pairs = 24) ?tamper ?taint ~seed g
+let analyze ?(budgets = default_budgets) ?(pairs = 24) ?tamper ?taint ~seed g
     policies =
   let n = G.n g in
   if n < 3 then (0, [])

@@ -21,11 +21,6 @@ val default_budgets : budgets
     pair by design, so only the normalized rate is scale-free), with
     ~2x headroom over the measured steady state. *)
 
-val budgets : unit -> budgets
-(** {!default_budgets} with [SBGP_ALLOC_BUDGET_SCALAR], [_BATCH] and
-    [_REFERENCE] environment overrides applied (positive floats;
-    malformed values fall back to the default). *)
-
 val analyze :
   ?budgets:budgets ->
   ?pairs:int ->
@@ -35,7 +30,8 @@ val analyze :
   Topology.Graph.t ->
   Routing.Policy.t list ->
   int * Diagnostic.t list
-(** [analyze ~seed g policies] returns [(items, diags)].  Runs
+(** [analyze ~seed g policies] returns [(items, diags)], measured
+    against [budgets] (default {!default_budgets}).  Runs
     single-domain; the first policy drives the measurement.  [tamper] is
     invoked once per measured scalar pair and [taint] rewrites the warm
     cache-probe result — both exist for the false-negative mutants. *)

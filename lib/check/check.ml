@@ -201,10 +201,6 @@ let incremental_pass options g =
 let optimize_pass ?pool options g =
   Opt_check.analyze ?pool ~seed:(options.seed + 5) g options.policies
 
-let topology_pass options g =
-  Topo_check.analyze ~seed:(options.seed + 6) ~pairs:options.inc_pairs g
-    options.policies
-
 let run ?(options = default_options) ?tiers ?base ?deployments g =
   let n = G.n g in
   let report = D.empty_report in
@@ -227,7 +223,7 @@ let run ?(options = default_options) ?tiers ?base ?deployments g =
     let report = D.add_pass report "incremental" ~items:iitems idiags in
     let oitems, odiags = optimize_pass options g in
     let report = D.add_pass report "optimize" ~items:oitems odiags in
-    let titems, tdiags = topology_pass options g in
+    let titems, tdiags = Topo_check.analyze g in
     D.add_pass report "topology" ~items:titems tdiags
   end
 
@@ -242,8 +238,8 @@ let run_optimize ?(options = default_options) ?pool g =
   let items, diags = optimize_pass ?pool options g in
   D.add_pass D.empty_report "optimize" ~items diags
 
-let run_topology ?(options = default_options) g =
-  let items, diags = topology_pass options g in
+let run_topology g =
+  let items, diags = Topo_check.analyze g in
   D.add_pass D.empty_report "topology" ~items diags
 
 (* Not part of {!run}'s pass sequence: the allocation gate wants a

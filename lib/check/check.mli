@@ -27,9 +27,7 @@
       proven submodular, so laziness is gated, not assumed);
     + {b topology} ({!Topo}) — the off-heap CSR is compared against the
       adjacency-table view, binary snapshots must round-trip
-      bit-identically (and reject corruption), and topology-delta
-      replay through {!Metric.H_metric.Replay} must match from-scratch
-      computation at every step of a seeded delta chain;
+      bit-identically (and reject corruption);
     + {b alloc} ({!Alloc}, standalone only) — minor-heap allocation per
       pair of the scalar/batched/reference kernels measured against
       recorded budgets, identity-gated, plus a cold-vs-warm probe of
@@ -106,13 +104,12 @@ val run_kernel : ?options:options -> Topology.Graph.t -> Diagnostic.report
     against the reference kernel, plus the partition sub-pass
     ({!Kernel.analyze_partition}) over the same lane counts. *)
 
-val run_topology : ?options:options -> Topology.Graph.t -> Diagnostic.report
+val run_topology : Topology.Graph.t -> Diagnostic.report
 (** Only the topology pass ([sbgp check --topology]): CSR-vs-tables
-    identity, snapshot round-trip and corruption rejection, and
-    delta-replay-vs-scratch bit-identity (uses [inc_pairs] pairs). *)
+    identity and snapshot round-trip and corruption rejection. *)
 
 val run_alloc : ?options:options -> Topology.Graph.t -> Diagnostic.report
 (** Only the allocation gate ([sbgp check --alloc]).  Deliberately not
     part of {!run}: the Gc counters are per-domain, so the measured
     loops want a process that has not shared its minor heap with pool
-    workers.  Budgets come from {!Alloc.budgets} (env-overridable). *)
+    workers.  Budgets are {!Alloc.default_budgets}. *)

@@ -88,9 +88,6 @@ let catalogue =
     ( "topo/snapshot",
       "a binary snapshot failed to round-trip bit-identically, or a \
        corrupted payload loaded without a digest error" );
-    ( "topo/delta-divergence",
-      "topology-delta replay produced bounds different from a \
-       from-scratch computation at some step of a seeded delta chain" );
     ("route/shape", "outcome size or roots disagree with the inputs");
     ("route/root", "destination or attacker root record is malformed");
     ( "route/missed",

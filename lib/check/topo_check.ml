@@ -1,20 +1,13 @@
-(* Differential checks for the off-heap topology layer (PR 9):
+(* Differential checks for the off-heap topology layer:
 
    - the Bigarray CSR and the adjacency-table accessors must describe
      the same graph (they are two lazily-materialized views of one
      value; a divergence means one materialization path is wrong);
    - a binary snapshot must round-trip bit-identically, and a corrupted
-     payload must be rejected (the digest gate actually fires);
-   - replaying a seeded chain of topology deltas through
-     {!Metric.H_metric.Replay} must be bit-identical to from-scratch
-     pair bounds on every stepped graph — the dirty-cone influence test
-     may only skip work, never change results. *)
+     payload must be rejected (the digest gate actually fires). *)
 
 module D = Diagnostic
 module G = Topology.Graph
-module M = Metric.H_metric
-
-let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* ---- CSR vs adjacency tables ------------------------------------- *)
 
@@ -100,117 +93,7 @@ let snapshot_pass g =
       end);
   (2, !diags)
 
-(* ---- Delta replay vs scratch -------------------------------------- *)
-
-(* Deterministic mixed deployment (the same shape check.ml uses; kept
-   local so this module stays self-contained). *)
-let dep_mixed n =
-  Deployment.of_modes
-    (Array.init n (fun v ->
-         match v mod 5 with
-         | 0 | 1 -> Deployment.Full
-         | 2 -> Deployment.Simplex
-         | _ -> Deployment.Off))
-
-let sample_pairs rng n k =
-  Array.init k (fun _ ->
-      let dst = Rng.int rng n in
-      let attacker = (dst + 1 + Rng.int rng (n - 1)) mod n in
-      { M.attacker; dst })
-
-(* One step's delta against the current graph: flip the class of a few
-   seeded edges (customer-provider <-> peer), plus one remove/re-add
-   pair across consecutive steps so every [Delta.op] constructor is
-   exercised.  Flips of either direction are legal deltas; the replay
-   identity does not assume an acyclic hierarchy. *)
-let flip_of = function
-  | G.Customer_provider (c, p) -> G.Peer_peer (min c p, max c p)
-  | G.Peer_peer (a, b) -> G.Customer_provider (a, b)
-
-let step_delta rng g ~removed =
-  let edges = Array.of_list (G.edges g) in
-  let ops = ref [] in
-  let used = Hashtbl.create 8 in
-  let ends = function
-    | G.Customer_provider (c, p) -> (min c p, max c p)
-    | G.Peer_peer (a, b) -> (a, b)
-  in
-  let claim e =
-    let k = ends e in
-    if Hashtbl.mem used k then false
-    else begin
-      Hashtbl.replace used k ();
-      true
-    end
-  in
-  let flips = min 3 (Array.length edges) in
-  for _ = 1 to flips do
-    let e = edges.(Rng.int rng (Array.length edges)) in
-    if claim e then ops := G.Delta.Flip (flip_of e) :: !ops
-  done;
-  (match !removed with
-  | Some e when claim e ->
-      ops := G.Delta.Add e :: !ops;
-      removed := None
-  | _ ->
-      let e = edges.(Rng.int rng (Array.length edges)) in
-      if claim e then begin
-        ops := G.Delta.Remove e :: !ops;
-        removed := Some e
-      end);
-  Array.of_list (List.rev !ops)
-
-let delta_pass ~seed ~pairs ~steps g policies =
-  let n = G.n g in
-  let items = ref 0 in
-  let diags = ref [] in
-  if n >= 8 && pairs > 0 then begin
-    let rng = Rng.create seed in
-    let ps = sample_pairs rng n pairs in
-    let dep = dep_mixed n in
-    List.iter
-      (fun policy ->
-        let rng = Rng.create (seed + 7) in
-        let rp = M.Replay.create g policy dep ps in
-        ignore (M.Replay.eval rp);
-        let removed = ref None in
-        for step = 1 to steps do
-          let delta = step_delta rng (M.Replay.graph rp) ~removed in
-          ignore (M.Replay.step rp delta);
-          let g' = M.Replay.graph rp in
-          let vals = M.Replay.values rp in
-          let ws = Routing.Engine.Workspace.local () in
-          Array.iteri
-            (fun i p ->
-              incr items;
-              let want = M.pair_bounds ~ws g' policy dep p in
-              let got = vals.(i) in
-              if
-                not
-                  (bits_equal want.M.lb got.M.lb
-                  && bits_equal want.M.ub got.M.ub)
-              then
-                diags :=
-                  !diags
-                  @ [
-                      D.error ~rule:"topo/delta-divergence"
-                        ~subjects:[ p.M.attacker; p.M.dst ]
-                        (Printf.sprintf
-                           "policy %s, delta step %d: replay bounds [%.17g, \
-                            %.17g] differ from scratch [%.17g, %.17g] for \
-                            pair (m=%d, d=%d)"
-                           (Routing.Policy.name policy)
-                           step got.M.lb got.M.ub want.M.lb want.M.ub
-                           p.M.attacker p.M.dst);
-                    ])
-            ps
-        done)
-      policies
-  end;
-  (!items, !diags)
-
-let analyze ?(steps = 4) ~seed ~pairs g policies =
+let analyze g =
   let citems, cdiags = csr_pass g in
   let sitems, sdiags = snapshot_pass g in
-  let ditems, ddiags = delta_pass ~seed ~pairs ~steps g policies in
-  (citems + sitems + ditems, cdiags @ sdiags @ ddiags)
+  (citems + sitems, cdiags @ sdiags)

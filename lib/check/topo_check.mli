@@ -1,26 +1,11 @@
 (** Differential checks for the off-heap topology layer (rules
-    [topo/csr-mismatch], [topo/snapshot], [topo/delta-divergence]):
+    [topo/csr-mismatch] and [topo/snapshot]):
 
     - the Bigarray CSR must agree with the adjacency-table accessors on
       every row segment;
     - a binary snapshot ({!Topology.Serial.save_snapshot}) must
       round-trip bit-identically, and a one-byte payload corruption must
-      be rejected by the digest;
-    - replaying a seeded chain of topology deltas (class flips plus a
-      remove/re-add) through {!Metric.H_metric.Replay} must produce
-      per-pair bounds bit-identical to from-scratch engine computation
-      on every stepped graph. *)
+      be rejected by the digest. *)
 
-val analyze :
-  ?steps:int ->
-  seed:int ->
-  pairs:int ->
-  Topology.Graph.t ->
-  Routing.Policy.t list ->
-  int * Diagnostic.t list
-(** [analyze ~seed ~pairs g policies] returns (items covered,
-    diagnostics).  [steps] (default 4) is the length of each policy's
-    delta chain; [pairs] the number of sampled (attacker, destination)
-    pairs whose bounds are compared at every step.  The delta-replay
-    sub-pass needs [n >= 8]; below that only the CSR and snapshot gates
-    run. *)
+val analyze : Topology.Graph.t -> int * Diagnostic.t list
+(** [analyze g] returns (items covered, diagnostics). *)

@@ -569,187 +569,3 @@ module Evaluator = struct
 
   let stats t = t.st
 end
-
-module Replay = struct
-  (* Incremental evaluation along a *topology* trajectory: the
-     deployment and the pair set stay put while the graph takes
-     {!Topology.Graph.Delta} steps.  The pairs are grouped
-     destination-major into the same ≤63-lane words as {!batched_map};
-     each word retains the frozen group state of its last solve
-     ({!Routing.Incremental.Topo.word_state}), and a step re-solves only
-     the words the two-stage topology cone cannot prove untouched —
-     stage 1 the overlay reachability cone, stage 2 the per-word
-     influence test against the frozen state.  Carried words keep their
-     bounds bit-for-bit (a clean verdict is a bit-identity guarantee,
-     which the [topology] check pass enforces against scratch solves).
-
-     Execution is sequential by design: the per-domain batch workspace
-     is reused word to word (the frozen state is copied out before the
-     next checkout), and replay steps are usually dominated by the few
-     dirty words, not by fan-out. *)
-
-  type stats = {
-    steps : int;  (** delta steps taken *)
-    words_solved : int;
-    lanes_solved : int;  (** engine evals: one lane = one (m, d) solve *)
-    lanes_carried : int;
-  }
-
-  type word = {
-    w_dst : int;
-    w_attackers : int array;
-    w_pos : int array; (* indices into the pair array, one per lane *)
-    mutable w_state : Routing.Incremental.Topo.word_state option;
-  }
-
-  type t = {
-    r_policy : Routing.Policy.t;
-    r_dep : Deployment.t;
-    r_pairs : pair array;
-    r_words : word array;
-    mutable r_g : Topology.Graph.t;
-    mutable r_vals : bounds array option;
-    mutable r_st : stats;
-  }
-
-  let create g policy dep pairs =
-    if Deployment.n dep <> Topology.Graph.n g then
-      invalid_arg "Replay.create: deployment size disagrees with the graph";
-    let pairs = Array.copy pairs in
-    let words =
-      Array.map
-        (fun (dst, attackers, pos) ->
-          { w_dst = dst; w_attackers = attackers; w_pos = pos; w_state = None })
-        (batch_plan pairs)
-    in
-    {
-      r_policy = policy;
-      r_dep = dep;
-      r_pairs = pairs;
-      r_words = words;
-      r_g = g;
-      r_vals = None;
-      r_st = { steps = 0; words_solved = 0; lanes_solved = 0; lanes_carried = 0 };
-    }
-
-  (* One batched solve of a word against the current graph: fold the
-     per-lane bounds off the groups (same fold as [batch_item_bounds])
-     and freeze the group state before anything else touches the shared
-     workspace. *)
-  let solve_word t vals w =
-    let n = Topology.Graph.n t.r_g in
-    let b =
-      Routing.Batch.compute
-        ~ws:(Routing.Batch.Workspace.local ())
-        t.r_g t.r_policy t.r_dep ~dst:w.w_dst ~attackers:w.w_attackers
-    in
-    let lanes = Array.length w.w_attackers in
-    let lb = Array.make lanes 0 and ub = Array.make lanes 0 in
-    (* Same per-group closure hoist as [batch_item_bounds]. *)
-    let tick_ub l = ub.(l) <- ub.(l) + 1 in
-    let tick_lb l = lb.(l) <- lb.(l) + 1 in
-    Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-        let open Routing.Engine.Packed in
-        if cls_code_of word <> 3 && to_d_of word then begin
-          Prelude.Bitset.iter_word tick_ub mask;
-          if not (to_m_of word) then Prelude.Bitset.iter_word tick_lb mask
-        end);
-    w.w_state <- Some (Routing.Incremental.Topo.snapshot ~n b);
-    let sources = n - 2 in
-    Array.iteri
-      (fun l j ->
-        vals.(j) <-
-          {
-            lb = Prelude.Stats.fraction lb.(l) sources;
-            ub = Prelude.Stats.fraction ub.(l) sources;
-          })
-      w.w_pos
-
-  let mean pairs vals =
-    let total = Array.length pairs in
-    if total = 0 then { lb = 0.; ub = 0. }
-    else begin
-      let lb = ref 0. and ub = ref 0. in
-      Array.iter
-        (fun b ->
-          lb := !lb +. b.lb;
-          ub := !ub +. b.ub)
-        vals;
-      { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
-    end
-
-  let eval t =
-    let vals =
-      match t.r_vals with
-      | Some v -> v
-      | None -> Array.make (Array.length t.r_pairs) { lb = 0.; ub = 0. }
-    in
-    let lanes = ref 0 in
-    Array.iter
-      (fun w ->
-        solve_word t vals w;
-        lanes := !lanes + Array.length w.w_attackers)
-      t.r_words;
-    t.r_vals <- Some vals;
-    t.r_st <-
-      {
-        t.r_st with
-        words_solved = t.r_st.words_solved + Array.length t.r_words;
-        lanes_solved = t.r_st.lanes_solved + !lanes;
-      };
-    mean t.r_pairs vals
-
-  let step t delta =
-    let vals =
-      match t.r_vals with
-      | Some v -> v
-      | None -> invalid_arg "Replay.step: eval the starting graph first"
-    in
-    let old_g = t.r_g in
-    let cone = Routing.Incremental.Topo.cone old_g delta in
-    (* [apply] validates the delta; from here on a clean word verdict is
-       a bit-identity guarantee against a scratch solve on [new_g]. *)
-    let new_g = Topology.Graph.Delta.apply old_g delta in
-    t.r_g <- new_g;
-    let solved = ref 0 and lanes_solved = ref 0 and lanes_carried = ref 0 in
-    Array.iter
-      (fun w ->
-        let coarse =
-          Routing.Incremental.Topo.cone_dirty_dst cone w.w_dst
-          || Array.exists
-               (fun m -> Routing.Incremental.Topo.cone_dirty_dst cone m)
-               w.w_attackers
-        in
-        let dirty =
-          coarse
-          &&
-          match w.w_state with
-          | None -> true
-          | Some st ->
-              Routing.Incremental.Topo.influenced st t.r_dep t.r_policy
-                ~old_graph:old_g ~delta
-        in
-        if dirty then begin
-          solve_word t vals w;
-          incr solved;
-          lanes_solved := !lanes_solved + Array.length w.w_attackers
-        end
-        else lanes_carried := !lanes_carried + Array.length w.w_attackers)
-      t.r_words;
-    t.r_st <-
-      {
-        steps = t.r_st.steps + 1;
-        words_solved = t.r_st.words_solved + !solved;
-        lanes_solved = t.r_st.lanes_solved + !lanes_solved;
-        lanes_carried = t.r_st.lanes_carried + !lanes_carried;
-      };
-    mean t.r_pairs vals
-
-  let values t =
-    match t.r_vals with
-    | None -> invalid_arg "Replay.values: no graph evaluated yet"
-    | Some vals -> Array.copy vals
-
-  let graph t = t.r_g
-  let stats t = t.r_st
-end

@@ -64,14 +64,13 @@ val pair_bounds :
     scalar {!Routing.Engine} solve.  This is the per-pair quantity
     {!h_metric} averages and the unit the incremental machinery caches;
     the batched paths never call it, so it serves as their oracle in the
-    incremental and topology checks and the metric tests. *)
+    incremental check and the metric tests. *)
 
 (** Concurrent memo cache of per-pair {!bounds}, keyed by
     policy x (topology, deployment) version x pair.  Versions are
     interned by content within a topology ({!Topology.Graph.version} +
     {!Deployment.fingerprint} + {!Deployment.equal}), so structurally
-    equal deployments on the same graph share entries, and two graphs —
-    including a graph and its {!Topology.Graph.Delta.apply} successor —
+    equal deployments on the same graph share entries, and two graphs
     can never serve each other's values.  Safe to share across
     {!Parallel.Pool} worker domains (sharded, per-shard mutexes).
 
@@ -239,56 +238,4 @@ module Evaluator : sig
 
   val stats : t -> stats
   (** Cumulative pair-level counters across all {!eval} calls. *)
-end
-
-(** Incremental evaluation of [H] along a {e topology} trajectory — the
-    dual of {!Evaluator}: the deployment and pair set stay put while the
-    graph takes {!Topology.Graph.Delta} steps (CAIDA monthly-snapshot
-    replays, link-failure what-ifs, perturbation sweeps).
-
-    Pairs are grouped destination-major into words of at most
-    {!Routing.Batch.max_lanes} attackers, exactly as {!h_metric}'s
-    batched path.  Each word retains the frozen group state of its last
-    batched solve; {!Replay.step} re-solves only the words the two-stage
-    topology cone ({!Routing.Incremental.Topo}) cannot prove untouched
-    and carries every other word's bounds bit-for-bit.  Results are
-    bit-identical to a from-scratch {!h_metric} on the stepped graph for
-    every step, model and tiebreak — the [topology] check pass and the
-    qcheck delta-soundness properties enforce this. *)
-module Replay : sig
-  type t
-
-  type stats = {
-    steps : int;  (** {!step} calls so far *)
-    words_solved : int;  (** batched solves run, priming included *)
-    lanes_solved : int;
-        (** engine evaluations: one lane is one (attacker, dst) stable
-            state, the denominator of the ≥5x replay acceptance gate *)
-    lanes_carried : int;  (** lane bounds carried without solving *)
-  }
-
-  val create :
-    Topology.Graph.t -> Routing.Policy.t -> Deployment.t -> pair array -> t
-  (** A fresh replay over the starting graph; no solve happens until
-      {!eval}.  Raises [Invalid_argument] when the deployment size
-      disagrees with the graph. *)
-
-  val eval : t -> bounds
-  (** Prime (or re-prime) every word against the current graph and
-      return [H] over the pairs.  Must run before the first {!step}. *)
-
-  val step : t -> Topology.Graph.Delta.t -> bounds
-  (** Apply the delta to the current graph (validating it), re-solve the
-      dirty words, carry the clean ones, and return [H] on the stepped
-      graph.  Raises [Invalid_argument] on an invalid delta or before
-      the first {!eval}. *)
-
-  val values : t -> bounds array
-  (** Per-pair bounds on the current graph, in pair order.  Raises
-      [Invalid_argument] before the first {!eval}. *)
-
-  val graph : t -> Topology.Graph.t
-  (** The current graph (the seed, stepped by every applied delta). *)
-
-  val stats : t -> stats
 end

@@ -127,189 +127,3 @@ let dirty_pair t ~attacker ~dst =
   | Some (Witnesses ws) -> Array.exists (fun w -> w <> attacker) ws
 
 let counts t = (t.n_clean, t.n_dirty)
-
-module Topo = struct
-  (* Dirty cones for *topology* deltas (link add / remove / relationship
-     flip), two-stage:
-
-     Stage 1 (cone): a pair (m, d) can only change if some perceivable
-     route toward d or toward m transits a changed pair.  A route
-     transiting the changed pair {a, b} gives both endpoints a
-     perceivable route to its root, and valley-free perceivable
-     reachability is symmetric (a one-hop-peer/climb/descend path
-     reverses into the same shape), so the root lies in the endpoint's
-     closure.  The affected set is the union over endpoints e of
-     {e} ∪ Reach_old(e) ∪ Reach_new(e), the new closure computed over
-     the delta {!Topology.Graph.overlay} so the edited graph is never
-     materialized.  On Internet-like graphs this set is close to
-     everything (up-peer-down reaches almost everyone), hence:
-
-     Stage 2 (influence): against the frozen batched stable state of one
-     destination word, every changed edge is re-offered in both
-     directions exactly as the kernel's expand/relax would.  The word is
-     clean when every such offer is inadmissible under Ex, over the
-     length bound, or *strictly* loses the rank compare against the
-     state of every lane it overlaps — strictly-losing offers leave the
-     label-setting fixed point (flags, parents, everything) untouched,
-     removing strictly-losing offers likewise, and the fixed point is
-     unique because rank is strictly monotone along extensions.  A tie
-     is dirty (tie aggregation reads flags and parents); an offer into a
-     lane with no state at the target is dirty (a new route appears).
-     Distinct-pair deltas compose: each op is tested against the same
-     frozen state, and a clean verdict for all ops means that state
-     still satisfies every AS's fixed-point equation on the edited
-     graph.
-
-     Unsound directions, deliberately rejected (see DESIGN.md §15):
-     re-checking only the *winning* lanes (ties aggregate flags from
-     losers), skipping the reverse direction of a removed edge (the
-     survivor's own route may ride the edge), and evaluating offers
-     against an attacker-free tree (an attacker shortcut can lower ranks
-     below the attacker-free ones). *)
-
-  type cone = { affected : Prelude.Bitset.t; card : int }
-
-  let cone g delta =
-    let n = Topology.Graph.n g in
-    let affected = Prelude.Bitset.create n in
-    let old_view = Topology.Graph.view g in
-    let new_view = Topology.Graph.overlay g delta in
-    Array.iter
-      (fun e ->
-        Prelude.Bitset.add affected e;
-        Reach.union_into (Reach.compute_view old_view ~root:e ()) ~into:affected;
-        Reach.union_into (Reach.compute_view new_view ~root:e ()) ~into:affected)
-      (Topology.Graph.Delta.endpoints delta);
-    { affected; card = Prelude.Bitset.cardinal affected }
-
-  let cone_dirty_dst c d = Prelude.Bitset.mem c.affected d
-
-  let cone_dirty_pair c ~attacker ~dst =
-    Prelude.Bitset.mem c.affected dst || Prelude.Bitset.mem c.affected attacker
-
-  let cone_card c = c.card
-
-  (* Frozen copy of one destination word's batched stable state: per AS,
-     its fixed (mask, packed word) groups, flattened CSR-style.  At the
-     fixed point every surviving group is fixed, so {!Batch.iter_fixed}
-     is exactly this state; ~3 ints per reached (AS, group). *)
-  type word_state = {
-    st_dst : int;
-    st_attackers : int array;
-    st_off : int array; (* n + 1 offsets into st_mask / st_word *)
-    st_mask : int array;
-    st_word : int array;
-  }
-
-  let snapshot ~n b =
-    let counts = Array.make (n + 1) 0 in
-    Batch.iter_fixed b (fun ~v ~mask:_ ~word:_ ~parent:_ ->
-        counts.(v + 1) <- counts.(v + 1) + 1);
-    for v = 1 to n do
-      counts.(v) <- counts.(v) + counts.(v - 1)
-    done;
-    let off = counts in
-    let total = off.(n) in
-    let mask = Array.make total 0 and word = Array.make total 0 in
-    let cursor = Array.copy off in
-    Batch.iter_fixed b (fun ~v ~mask:m ~word:w ~parent:_ ->
-        let i = cursor.(v) in
-        mask.(i) <- m;
-        word.(i) <- w;
-        cursor.(v) <- i + 1);
-    {
-      st_dst = Batch.dst b;
-      st_attackers = Batch.attackers b;
-      st_off = off;
-      st_mask = mask;
-      st_word = word;
-    }
-
-  let dst st = st.st_dst
-  let attackers st = Array.copy st.st_attackers
-
-  let influenced st dep policy ~old_graph ~(delta : Topology.Graph.Delta.t) =
-    let n = Array.length st.st_off - 1 in
-    if Topology.Graph.n old_graph <> n || Deployment.n dep <> n then
-      invalid_arg "Incremental.Topo.influenced: size mismatch";
-    let max_len = n + 1 in
-    let tbl = Policy.Rank_table.make policy ~max_len in
-    let mul = tbl.Policy.Rank_table.mul in
-    let add = tbl.Policy.Rank_table.add in
-    let kk = tbl.Policy.Rank_table.kk in
-    let rank_shift = Engine.Packed.rank_shift in
-    let dirty = ref false in
-    (* Would u's frozen state, offered over an edge that classifies as
-       [cls_at_w] at [w], win, tie, or newly reach any lane at [w]? *)
-    let test_dir u w ~cls_at_w =
-      if not !dirty then begin
-        let w_lo = st.st_off.(w) and w_hi = st.st_off.(w + 1) in
-        let reached_w = ref 0 in
-        for i = w_lo to w_hi - 1 do
-          reached_w := !reached_w lor st.st_mask.(i)
-        done;
-        let full_w = Deployment.is_full dep w in
-        let i = ref st.st_off.(u) in
-        let u_hi = st.st_off.(u + 1) in
-        while (not !dirty) && !i < u_hi do
-          let gu = st.st_word.(!i) in
-          let mu = st.st_mask.(!i) in
-          incr i;
-          let cls_u = Engine.Packed.cls_code_of gu in
-          (* Ex: customers of u always learn; peers/providers only when
-             u's route is a customer route or u is a root (cls 3). *)
-          if cls_at_w = 2 || cls_u = 0 || cls_u = 3 then begin
-            let len' = Engine.Packed.len_of gu + 1 in
-            if len' <= max_len then begin
-              let secure' = Engine.Packed.secure_of gu && full_w in
-              let j =
-                (2 * cls_at_w)
-                + (if secure' then 0 else 1)
-                + if len' <= kk then 0 else 6
-              in
-              let r' = (mul.(j) * len') + add.(j) in
-              if mu land lnot !reached_w <> 0 then dirty := true
-              else begin
-                let k = ref w_lo in
-                while (not !dirty) && !k < w_hi do
-                  if
-                    st.st_mask.(!k) land mu <> 0
-                    && st.st_word.(!k) lsr rank_shift >= r'
-                  then dirty := true;
-                  incr k
-                done
-              end
-            end
-          end
-        done
-      end
-    in
-    let test_edge = function
-      | Topology.Graph.Customer_provider (c, p) ->
-          (* p (c's provider) would receive a customer route (cls 0);
-             c would receive a provider route (cls 2). *)
-          test_dir c p ~cls_at_w:0;
-          test_dir p c ~cls_at_w:2
-      | Topology.Graph.Peer_peer (a, b) ->
-          test_dir a b ~cls_at_w:1;
-          test_dir b a ~cls_at_w:1
-    in
-    Array.iter
-      (fun op ->
-        match op with
-        | Topology.Graph.Delta.Add e | Topology.Graph.Delta.Remove e ->
-            test_edge e
-        | Topology.Graph.Delta.Flip e ->
-            let a, b =
-              match e with
-              | Topology.Graph.Customer_provider (a, b)
-              | Topology.Graph.Peer_peer (a, b) ->
-                  (a, b)
-            in
-            (match Topology.Graph.relationship old_graph a b with
-            | Some old_e -> test_edge old_e
-            | None -> dirty := true);
-            test_edge e)
-      delta;
-    !dirty
-end

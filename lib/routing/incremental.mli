@@ -55,61 +55,3 @@ val dirty_pair : t -> attacker:int -> dst:int -> bool
     attacker is the only witness for this destination. *)
 
 val counts : t -> int * int
-(** [(clean, dirty)] destination counts over the requested set. *)
-
-(** Dirty cones for {e topology} deltas (link add / remove / flip),
-    two-stage.  Stage 1 ({!Topo.cone}) bounds which roots any changed
-    pair can influence via perceivable-reachability closures, the
-    post-delta side computed over a {!Topology.Graph.overlay} so the
-    edited graph is never materialized; on Internet-like graphs that
-    cone is close to everything, so stage 2 ({!Topo.influenced})
-    re-offers every changed edge, in both directions, against the frozen
-    batched stable state of one destination word and reports clean only
-    when every offer is inadmissible, over the length bound, or
-    {e strictly} loses the rank compare at every lane it overlaps —
-    exactly the condition under which the label-setting fixed point
-    (flags and parents included) provably cannot move.  Ties are dirty
-    by design; the deliberately rejected shortcuts are documented in
-    DESIGN.md §15.  A clean verdict is sound (bit-identical outcome,
-    both tiebreaks, every model); dirty is conservative, and the
-    delta-vs-scratch identity gate of [sbgp check --topology] enforces
-    soundness end to end. *)
-module Topo : sig
-  type cone
-
-  val cone : Topology.Graph.t -> Topology.Graph.Delta.t -> cone
-  (** Affected-root set of the delta against this (pre-delta) graph:
-      two {!Reach} closures per delta endpoint, O(edges) each. *)
-
-  val cone_dirty_dst : cone -> int -> bool
-  val cone_dirty_pair : cone -> attacker:int -> dst:int -> bool
-
-  val cone_card : cone -> int
-  (** Size of the affected set (diagnostics: how blunt stage 1 was). *)
-
-  type word_state
-  (** Frozen stable state of one destination word: per AS, its fixed
-      (lane mask, packed word) groups.  About three ints per reached
-      (AS, group) — retained per word by a replay evaluator. *)
-
-  val snapshot : n:int -> Batch.t -> word_state
-  (** Freeze a completed batch solve ([n] is the graph size).  Must be
-      called while the result is live (before its workspace's next
-      checkout). *)
-
-  val dst : word_state -> int
-  val attackers : word_state -> int array
-
-  val influenced :
-    word_state ->
-    Deployment.t ->
-    Policy.t ->
-    old_graph:Topology.Graph.t ->
-    delta:Topology.Graph.Delta.t ->
-    bool
-  (** Whether the delta can move this word's stable state.  [old_graph]
-      and [dep] must be the graph and deployment the state was computed
-      against; the delta is assumed valid for [old_graph] (callers
-      apply it anyway, which validates).  [false] guarantees the
-      post-delta solve is bit-identical. *)
-end

@@ -5,8 +5,8 @@ type t = {
   root : int;
 }
 
-let compute_view (vw : Topology.Graph.view) ~root ?(avoid = -1) ?only () =
-  let n = vw.Topology.Graph.view_n in
+let compute g ~root ?(avoid = -1) ?only () =
+  let n = Topology.Graph.n g in
   if root < 0 || root >= n then invalid_arg "Reach.compute: root out of range";
   if root = avoid then invalid_arg "Reach.compute: root = avoid";
   let customer_set = Prelude.Bitset.create n in
@@ -14,9 +14,17 @@ let compute_view (vw : Topology.Graph.view) ~root ?(avoid = -1) ?only () =
   let provider_set = Prelude.Bitset.create n in
   let allowed = match only with None -> fun _ -> true | Some f -> f in
   let ok v = v <> avoid && v <> root && allowed v in
-  let iter_customers = vw.Topology.Graph.iter_customers in
-  let iter_peers = vw.Topology.Graph.iter_peers in
-  let iter_providers = vw.Topology.Graph.iter_providers in
+  (* Reachability is O(E) queue work over the CSR segments; the packed
+     kernels ({!Engine}/{!Batch}), not these closures, are the
+     unsafe-access hot path. *)
+  let csr = Topology.Graph.csr g in
+  let adj = csr.Topology.Graph.Csr.adj and xs = csr.Topology.Graph.Csr.xs in
+  (* Segment [s] of [v]'s row: 0 customers, 1 peers, 2 providers. *)
+  let iter_seg s f v =
+    for i = xs.{(3 * v) + s} to xs.{(3 * v) + s + 1} - 1 do
+      f adj.{i}
+    done
+  in
   (* Customer routes: climb customer-to-provider edges from the root. *)
   let queue = Queue.create () in
   let push_customer v =
@@ -25,18 +33,22 @@ let compute_view (vw : Topology.Graph.view) ~root ?(avoid = -1) ?only () =
       Queue.add v queue
     end
   in
-  iter_providers push_customer root;
+  iter_seg 2 push_customer root;
   while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    iter_providers push_customer u
+    iter_seg 2 push_customer (Queue.pop queue)
   done;
   (* Peer routes: one peer hop off a customer route (or off the root). *)
-  let has_customer_or_root u = u = root || Prelude.Bitset.mem customer_set u in
   for v = 0 to n - 1 do
     if ok v then begin
-      let found = ref false in
-      iter_peers (fun u -> if (not !found) && has_customer_or_root u then found := true) v;
-      if !found then Prelude.Bitset.add peer_set v
+      let i = ref xs.{(3 * v) + 1} and hi = xs.{(3 * v) + 2} in
+      while !i < hi do
+        let u = adj.{!i} in
+        if u = root || Prelude.Bitset.mem customer_set u then begin
+          Prelude.Bitset.add peer_set v;
+          i := hi
+        end
+        else incr i
+      done
     end
   done;
   (* Provider routes: close downward from anything reachable. *)
@@ -46,33 +58,19 @@ let compute_view (vw : Topology.Graph.view) ~root ?(avoid = -1) ?only () =
       Queue.add v queue
     end
   in
-  let seed u = iter_customers push_provider u in
+  let seed u = iter_seg 0 push_provider u in
   seed root;
   Prelude.Bitset.iter seed customer_set;
   Prelude.Bitset.iter seed peer_set;
   while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    seed u
+    seed (Queue.pop queue)
   done;
   { customer_set; peer_set; provider_set; root }
-
-(* The plain-graph entry point runs the same closure over the graph's own
-   view: CSR-backed segment scans when the CSR is already built, table
-   iteration otherwise.  Reachability is O(E) queue work either way —
-   the packed kernels ({!Engine}/{!Batch}), not these closures, are the
-   unsafe-access hot path. *)
-let compute g ~root ?(avoid = -1) ?only () =
-  compute_view (Topology.Graph.view g) ~root ~avoid ?only ()
 
 let customer t v = Prelude.Bitset.mem t.customer_set v
 let peer t v = Prelude.Bitset.mem t.peer_set v
 let provider t v = Prelude.Bitset.mem t.provider_set v
 let any t v = customer t v || peer t v || provider t v
-
-let union_into t ~into =
-  Prelude.Bitset.union_into ~into t.customer_set;
-  Prelude.Bitset.union_into ~into t.peer_set;
-  Prelude.Bitset.union_into ~into t.provider_set
 
 let best_class t v =
   if customer t v then Some Policy.Customer
@@ -93,7 +91,7 @@ let in_class t cls v =
    "The More the Merrier", VLDB 2015).  Per AS we keep three lane words
    — the lanes in which it has a perceivable customer, peer and provider
    route — and propagate whole words along the same three phases as
-   {!compute_view}.  [src.(v)] holds the lanes rooted at [v]; [bad.(v)]
+   {!compute}.  [src.(v)] holds the lanes rooted at [v]; [bad.(v)]
    the lanes in which [v] may join no set (its own root lanes and the
    lanes avoiding it).  Every phase is a monotone fixpoint, so a FIFO
    worklist that re-queues an AS whenever it gains lanes reaches the

@@ -29,19 +29,6 @@ val compute :
     every hop validates and re-signs — which is what the incremental
     dirty-cone computation ({!Incremental}) uses. *)
 
-val compute_view :
-  Topology.Graph.view ->
-  root:int ->
-  ?avoid:int ->
-  ?only:(int -> bool) ->
-  unit ->
-  t
-(** Same closure over an adjacency {!Topology.Graph.view} — in
-    particular a {!Topology.Graph.overlay}, so the topology-delta cone
-    ({!Incremental.Topo}) can measure post-delta reachability without
-    materializing the edited graph.  [compute g] is
-    [compute_view (Topology.Graph.view g)]. *)
-
 val customer : t -> int -> bool
 (** Has a perceivable customer route to the root. *)
 
@@ -50,11 +37,6 @@ val provider : t -> int -> bool
 
 val any : t -> int -> bool
 (** Has any perceivable route to the root. *)
-
-val union_into : t -> into:Prelude.Bitset.t -> unit
-(** Add every AS holding a perceivable route of any class (the root
-    itself excluded) to [into].  Raises [Invalid_argument] when the
-    universe sizes differ. *)
 
 val best_class : t -> int -> Policy.route_class option
 (** Most preferred class (customer > peer > provider) in which the AS has

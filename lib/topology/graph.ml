@@ -71,7 +71,7 @@ type t = {
 (* Graph identity for caches: process-global, monotone, never reused.
    No computed result may depend on it — it exists so a cache keyed on
    (version, deployment) cannot serve one topology's outcome for
-   another after a delta step. *)
+   another. *)
 let version_counter = Atomic.make 0
 let fresh_version () = Atomic.fetch_and_add version_counter 1
 
@@ -319,27 +319,6 @@ let num_customer_provider_edges g = g.num_c2p
 let num_peer_edges g = g.num_p2p
 let is_stub g v = customer_degree g v = 0
 
-let mem_sorted (a : int array) x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let y = a.(mid) in
-    if y = x then found := true else if y < x then lo := mid + 1 else hi := mid
-  done;
-  !found
-
-let relationship g a b =
-  if a < 0 || a >= g.n || b < 0 || b >= g.n then
-    invalid_arg "Graph.relationship: AS out of range";
-  if a = b then invalid_arg "Graph.relationship: equal endpoints";
-  let tb = tables g in
-  if mem_sorted tb.providers.(a) b then Some (Customer_provider (a, b))
-  else if mem_sorted tb.customers.(a) b then Some (Customer_provider (b, a))
-  else if mem_sorted tb.peers.(a) b then
-    Some (Peer_peer ((if a < b then a else b), if a < b then b else a))
-  else None
-
 let edges g =
   let tb = tables g in
   let acc = ref [] in
@@ -394,246 +373,3 @@ let connected g =
     done;
     Prelude.Bitset.cardinal seen = g.n
   end
-
-module Delta = struct
-  type op = Add of edge | Remove of edge | Flip of edge
-
-  type t = op array
-
-  let edge_ends = function
-    | Customer_provider (c, p) -> (c, p)
-    | Peer_peer (a, b) -> (a, b)
-
-  let op_edge = function Add e | Remove e | Flip e -> e
-
-  let canon = function
-    | Customer_provider _ as e -> e
-    | Peer_peer (a, b) -> if a <= b then Peer_peer (a, b) else Peer_peer (b, a)
-
-  let edge_equal x y =
-    match (canon x, canon y) with
-    | Customer_provider (a, b), Customer_provider (c, d)
-    | Peer_peer (a, b), Peer_peer (c, d) ->
-        a = c && b = d
-    | Customer_provider _, Peer_peer _ | Peer_peer _, Customer_provider _ ->
-        false
-
-  let endpoints (d : t) =
-    Array.to_list d
-    |> List.concat_map (fun op ->
-           let a, b = edge_ends (op_edge op) in
-           [ a; b ])
-    |> List.sort_uniq Int.compare
-    |> Array.of_list
-
-  (* Per-vertex pending edit; the lists are tiny (one entry per op
-     touching the vertex). *)
-  type edit = {
-    mutable c_rem : int list;
-    mutable c_add : int list; (* customers *)
-    mutable p_rem : int list;
-    mutable p_add : int list; (* peers *)
-    mutable r_rem : int list;
-    mutable r_add : int list; (* providers *)
-  }
-
-  (* Validate every op against the base graph and fold it into per-vertex
-     edits.  Returns the edit table, the touched vertices in first-touch
-     order (the table itself is consulted by keyed lookup only — its
-     iteration order never matters), and the edge-count deltas. *)
-  let plan g (d : t) =
-    let edits : (int, edit) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    let edit v =
-      match Hashtbl.find_opt edits v with
-      | Some e -> e
-      | None ->
-          let e =
-            { c_rem = []; c_add = []; p_rem = []; p_add = [];
-              r_rem = []; r_add = [] }
-          in
-          Hashtbl.add edits v e;
-          order := v :: !order;
-          e
-    in
-    let seen_pairs : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let claim a b =
-      let lo = if a < b then a else b and hi = if a < b then b else a in
-      let key = (lo * g.n) + hi in
-      if Hashtbl.mem seen_pairs key then
-        invalid_arg
-          (Printf.sprintf "Graph.Delta: two ops touch the pair (%d, %d)" lo hi);
-      Hashtbl.add seen_pairs key ()
-    in
-    let add_edge = function
-      | Customer_provider (c, p) ->
-          let ec = edit c in
-          ec.r_add <- p :: ec.r_add;
-          let ep = edit p in
-          ep.c_add <- c :: ep.c_add
-      | Peer_peer (a, b) ->
-          let ea = edit a in
-          ea.p_add <- b :: ea.p_add;
-          let eb = edit b in
-          eb.p_add <- a :: eb.p_add
-    in
-    let remove_edge = function
-      | Customer_provider (c, p) ->
-          let ec = edit c in
-          ec.r_rem <- p :: ec.r_rem;
-          let ep = edit p in
-          ep.c_rem <- c :: ep.c_rem
-      | Peer_peer (a, b) ->
-          let ea = edit a in
-          ea.p_rem <- b :: ea.p_rem;
-          let eb = edit b in
-          eb.p_rem <- a :: eb.p_rem
-    in
-    let is_cp = function Customer_provider _ -> true | Peer_peer _ -> false in
-    let dc2p = ref 0 and dp2p = ref 0 in
-    let count_add e = if is_cp e then incr dc2p else incr dp2p in
-    let count_rem e = if is_cp e then decr dc2p else decr dp2p in
-    Array.iter
-      (fun op ->
-        let e = canon (op_edge op) in
-        let a, b = edge_ends e in
-        if a < 0 || a >= g.n || b < 0 || b >= g.n then
-          invalid_arg
-            (Printf.sprintf "Graph.Delta: endpoint of pair (%d, %d) out of range"
-               a b);
-        if a = b then invalid_arg "Graph.Delta: self loop";
-        claim a b;
-        let cur = relationship g a b in
-        match op with
-        | Add _ -> (
-            match cur with
-            | None ->
-                add_edge e;
-                count_add e
-            | Some _ ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Graph.Delta: Add of already-adjacent pair (%d, %d)" a b))
-        | Remove _ -> (
-            match cur with
-            | Some have when edge_equal have e ->
-                remove_edge e;
-                count_rem e
-            | Some _ | None ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Graph.Delta: Remove of pair (%d, %d) without that \
-                      relationship"
-                     a b))
-        | Flip _ -> (
-            match cur with
-            | Some have when not (edge_equal have e) ->
-                remove_edge have;
-                count_rem have;
-                add_edge e;
-                count_add e
-            | Some _ ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Graph.Delta: Flip of pair (%d, %d) to its current \
-                      relationship"
-                     a b)
-            | None ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Graph.Delta: Flip of non-adjacent pair (%d, %d)" a b)))
-      d;
-    (edits, Array.of_list (List.rev !order), !dc2p, !dp2p)
-
-  let mem_list x l = List.exists (fun y -> y = x) l
-
-  (* Rebuild one adjacency row: drop removed members, append added ones,
-     restore sorted order.  The base row is sorted and edits are tiny. *)
-  let merge_row (base : int array) rem add =
-    match (rem, add) with
-    | [], [] -> base
-    | _ ->
-        let kept =
-          Array.to_list base |> List.filter (fun x -> not (mem_list x rem))
-        in
-        Array.of_list (List.sort Int.compare (List.rev_append add kept))
-
-  let apply g (d : t) =
-    let edits, order, dc2p, dp2p = plan g d in
-    let tb = tables g in
-    let customers = Array.copy tb.customers in
-    let providers = Array.copy tb.providers in
-    let peers = Array.copy tb.peers in
-    Array.iter
-      (fun v ->
-        match Hashtbl.find_opt edits v with
-        | None -> ()
-        | Some e ->
-            customers.(v) <- merge_row customers.(v) e.c_rem e.c_add;
-            peers.(v) <- merge_row peers.(v) e.p_rem e.p_add;
-            providers.(v) <- merge_row providers.(v) e.r_rem e.r_add)
-      order;
-    { n = g.n; num_c2p = g.num_c2p + dc2p; num_p2p = g.num_p2p + dp2p;
-      version = fresh_version ();
-      tables = Some { customers; providers; peers }; csr_cache = None }
-end
-
-type view = {
-  view_n : int;
-  iter_customers : (int -> unit) -> int -> unit;
-  iter_peers : (int -> unit) -> int -> unit;
-  iter_providers : (int -> unit) -> int -> unit;
-}
-
-let view g =
-  match g.csr_cache with
-  | Some c ->
-      let adj = c.Csr.adj and xs = c.Csr.xs in
-      let seg f lo hi =
-        for i = lo to hi - 1 do
-          f adj.{i}
-        done
-      in
-      {
-        view_n = g.n;
-        iter_customers = (fun f v -> seg f xs.{3 * v} xs.{(3 * v) + 1});
-        iter_peers = (fun f v -> seg f xs.{(3 * v) + 1} xs.{(3 * v) + 2});
-        iter_providers = (fun f v -> seg f xs.{(3 * v) + 2} xs.{(3 * v) + 3});
-      }
-  | None ->
-      let tb = tables g in
-      {
-        view_n = g.n;
-        iter_customers = (fun f v -> Array.iter f tb.customers.(v));
-        iter_peers = (fun f v -> Array.iter f tb.peers.(v));
-        iter_providers = (fun f v -> Array.iter f tb.providers.(v));
-      }
-
-let overlay g (d : Delta.t) =
-  let edits, _order, _dc2p, _dp2p = Delta.plan g d in
-  let base = view g in
-  if Hashtbl.length edits = 0 then base
-  else
-    let wrap base_it rem_of add_of f v =
-      match Hashtbl.find_opt edits v with
-      | None -> base_it f v
-      | Some e ->
-          let rem = rem_of e and add = add_of e in
-          (match rem with
-          | [] -> base_it f v
-          | _ -> base_it (fun u -> if not (Delta.mem_list u rem) then f u) v);
-          List.iter f add
-    in
-    {
-      view_n = base.view_n;
-      iter_customers =
-        wrap base.iter_customers
-          (fun e -> e.Delta.c_rem)
-          (fun e -> e.Delta.c_add);
-      iter_peers =
-        wrap base.iter_peers (fun e -> e.Delta.p_rem) (fun e -> e.Delta.p_add);
-      iter_providers =
-        wrap base.iter_providers
-          (fun e -> e.Delta.r_rem)
-          (fun e -> e.Delta.r_add);
-    }

@@ -99,12 +99,6 @@ val num_peer_edges : t -> int
 val is_stub : t -> int -> bool
 (** No customers (paper: "Stubs" plus "Stubs-x"). *)
 
-val relationship : t -> int -> int -> edge option
-(** The relationship of an AS pair, in canonical form
-    ([Customer_provider (c, p)], or [Peer_peer (a, b)] with [a < b]);
-    [None] when the pair is not adjacent.  O(log degree).  Raises
-    [Invalid_argument] on out-of-range or equal endpoints. *)
-
 val edges : t -> edge list
 (** Every edge exactly once ([Customer_provider (c, p)] and
     [Peer_peer (a, b)] with [a < b]). *)
@@ -116,65 +110,3 @@ val acyclic_hierarchy : t -> bool
 val connected : t -> bool
 (** Whether the underlying undirected graph is connected (trivially true
     for [n <= 1]). *)
-
-(** {2 Topology deltas}
-
-    A {!Delta.t} describes a small edit to a graph — link additions,
-    removals, relationship flips — without touching the graph it applies
-    to.  {!Delta.apply} materializes the edited graph (sharing every
-    untouched adjacency row with its base), and {!overlay} exposes the
-    edited adjacency as a cheap {!view} for cone computations that must
-    walk the {e post}-delta graph before deciding whether building it is
-    worth it. *)
-
-module Delta : sig
-  type graph
-
-  type op =
-    | Add of edge
-        (** The pair must not be adjacent in the base graph. *)
-    | Remove of edge
-        (** The base graph must carry exactly this relationship. *)
-    | Flip of edge
-        (** The pair must be adjacent with a {e different} relationship,
-            which the flip replaces: a peering becomes the given
-            customer-provider edge, or vice versa, or a
-            customer-provider edge reverses direction. *)
-
-  type t = op array
-  (** Ops of one delta edit {e distinct} pairs: two ops on the same AS
-      pair are rejected, so every op is validated against the base
-      graph independently of the others. *)
-
-  val endpoints : t -> int array
-  (** The distinct ASes incident to any op, sorted ascending. *)
-
-  val apply : graph -> t -> graph
-  (** The edited graph: untouched adjacency rows are shared with the
-      base (never copied), the edited rows stay sorted, and edge counts
-      are maintained.  The result has a fresh {!version} and no cached
-      CSR.  Raises [Invalid_argument] when an op's precondition fails
-      (naming the pair) or two ops touch the same pair. *)
-end
-  with type graph := t
-
-type view = {
-  view_n : int;
-  iter_customers : (int -> unit) -> int -> unit;
-  iter_peers : (int -> unit) -> int -> unit;
-  iter_providers : (int -> unit) -> int -> unit;
-}
-(** A read-only adjacency abstraction: just enough for closure-style
-    traversals ({!Routing.Reach.compute_view}) to run on either a plain
-    graph or a not-yet-materialized delta edit.  Iteration order within
-    a segment is unspecified (set semantics). *)
-
-val view : t -> view
-(** The graph's own adjacency as a view (CSR-backed when the CSR is
-    already built, table-backed otherwise — never forces a build). *)
-
-val overlay : t -> Delta.t -> view
-(** The adjacency of [Delta.apply g d] as a view over [g] {e without}
-    materializing the edited graph: touched rows filter removed
-    neighbors and append added ones on the fly.  Validates the delta
-    like {!Delta.apply}. *)

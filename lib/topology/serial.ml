@@ -244,24 +244,37 @@ let load_snapshot path =
   let fail msg =
     failwith (Printf.sprintf "Serial.load_snapshot: %s: %s" path msg)
   in
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  (* Any system-call failure (open, stat, read, map) is reported like a
+     malformed file: a [Failure] naming the path. *)
+  let sys f =
+    try f () with Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+  in
+  let fd = sys (fun () -> Unix.openfile path [ Unix.O_RDONLY ] 0) in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let size = (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size in
+      let size =
+        sys (fun () -> (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size)
+      in
       if size < Int64.of_int snapshot_payload_offset then
         fail "truncated header";
       let header = Bytes.create header_len in
       let rec read_all off =
         if off < header_len then begin
-          let k = Unix.read fd header off (header_len - off) in
+          let k = sys (fun () -> Unix.read fd header off (header_len - off)) in
           if k = 0 then fail "truncated header";
           read_all (off + k)
         end
       in
       read_all 0;
       if Bytes.sub_string header 0 8 <> snapshot_magic then fail "bad magic";
-      let get i = Int64.to_int (Bytes.get_int64_le header i) in
+      let get i =
+        let v = Bytes.get_int64_le header i in
+        let x = Int64.to_int v in
+        if not (Int64.equal (Int64.of_int x) v) then
+          fail (Printf.sprintf "header field at byte %d out of range" i);
+        x
+      in
       let ver = get 8 in
       if ver <> snapshot_version then
         fail
@@ -270,18 +283,23 @@ let load_snapshot path =
       if get 16 <> 8 then fail "payload word size is not 8";
       let n = get 24 and al = get 32 in
       if n < 0 || al < 0 then fail "negative counts in header";
-      let xl = (3 * n) + 1 in
-      let expect =
-        Int64.add
-          (Int64.of_int snapshot_payload_offset)
-          (Int64.of_int (8 * (xl + al)))
+      (* Size the payload from the file and hold the header counts to it
+         before any arithmetic on them, so a corrupted count can neither
+         overflow [3n + 1] nor reach [map_file] as a bad dimension. *)
+      let payload =
+        Int64.to_int (Int64.sub size (Int64.of_int snapshot_payload_offset))
       in
-      if size < expect then fail "truncated payload";
-      if size > expect then fail "trailing bytes after payload";
+      let words = payload / 8 in
+      if n >= words || al > words then fail "truncated payload";
+      let xl = (3 * n) + 1 in
+      if xl + al > words then fail "truncated payload";
+      if xl + al < words || payload mod 8 <> 0 then
+        fail "trailing bytes after payload";
       let map =
-        Unix.map_file fd
-          ~pos:(Int64.of_int snapshot_payload_offset)
-          Bigarray.int Bigarray.c_layout false [| xl + al |]
+        sys (fun () ->
+            Unix.map_file fd
+              ~pos:(Int64.of_int snapshot_payload_offset)
+              Bigarray.int Bigarray.c_layout false [| xl + al |])
       in
       let map = Bigarray.array1_of_genarray map in
       let xs = Bigarray.Array1.sub map 0 xl in

@@ -53,10 +53,12 @@ val load_snapshot : string -> Graph.t
 (** Map a snapshot back into a graph.  The payload stays memory-mapped
     (the returned graph's CSR aliases the file, read-only by
     convention); per-AS tables materialize lazily on first use.  Raises
-    [Failure] naming the defect — and the path — on bad magic, format
-    version or word-size mismatch, truncation, trailing bytes, digest
-    mismatch, an invalid CSR payload, or header/payload edge-count
-    disagreement. *)
+    [Failure] naming the defect — and the path — on a file that cannot
+    be opened or mapped, bad magic, format version or word-size
+    mismatch, a header field outside the native int range, truncation,
+    trailing bytes, digest mismatch, an invalid CSR payload, or
+    header/payload edge-count disagreement.  No other exception
+    escapes. *)
 
 val snapshot_magic : string
 val snapshot_version : int

@@ -36,54 +36,6 @@ let random_graph rng ~max_n =
   done;
   graph n !edges
 
-(* Random valid topology delta against [g]: flip the class of up to
-   three distinct edges, remove one, and add one brand-new pair (when a
-   non-adjacent pair turns up quickly).  Distinct pairs throughout, as
-   [Graph.Delta] requires. *)
-let random_delta rng g =
-  let n = G.n g in
-  let edge_pair = function
-    | G.Customer_provider (a, b) | G.Peer_peer (a, b) ->
-        if a < b then (a, b) else (b, a)
-  in
-  let edges = Array.of_list (G.edges g) in
-  let used = Hashtbl.create 8 in
-  let claim e =
-    let p = edge_pair e in
-    if Hashtbl.mem used p then false
-    else begin
-      Hashtbl.replace used p ();
-      true
-    end
-  in
-  let ops = ref [] in
-  let flip = function
-    | G.Customer_provider (a, b) -> G.Peer_peer (min a b, max a b)
-    | G.Peer_peer (a, b) -> G.Customer_provider (a, b)
-  in
-  for _ = 1 to 1 + Core.Rng.int rng 3 do
-    if Array.length edges > 0 then begin
-      let e = edges.(Core.Rng.int rng (Array.length edges)) in
-      if claim e then ops := G.Delta.Flip (flip e) :: !ops
-    end
-  done;
-  if Array.length edges > 0 then begin
-    let e = edges.(Core.Rng.int rng (Array.length edges)) in
-    if claim e then ops := G.Delta.Remove e :: !ops
-  end;
-  (let tries = ref 10 in
-   let found = ref false in
-   while (not !found) && !tries > 0 do
-     decr tries;
-     let a = Core.Rng.int rng n and b = Core.Rng.int rng n in
-     if a <> b && G.relationship g a b = None then
-       if claim (p2p (min a b) (max a b)) then begin
-         ops := G.Delta.Add (p2p (min a b) (max a b)) :: !ops;
-         found := true
-       end
-   done);
-  Array.of_list (List.rev !ops)
-
 (* Random deployment over the same graph. *)
 let random_deployment rng n =
   let modes =

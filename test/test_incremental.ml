@@ -238,82 +238,6 @@ let test_carry () =
   Alcotest.(check bool) "carried plus computed cover the pairs" true
     (carried + engine_runs <= Array.length pairs)
 
-(* ---- Topology-delta replay (PR 9) --------------------------------- *)
-
-let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* Replay through the topology-delta dirty-cone machinery must be
-   bit-identical to from-scratch pair bounds on every stepped graph —
-   for every security model, random deployments, random delta chains.
-   [pair_bounds] carries both tiebreak worlds (the lb/ub bounds), so
-   this covers 3 models x 2 tiebreaks. *)
-let prop_replay_exact seed =
-  let rng = Core.Rng.create seed in
-  let g = random_graph rng ~max_n:24 in
-  let n = Core.Graph.n g in
-  if n < 4 then true
-  else begin
-    let dep = random_deployment rng n in
-    let k = min 4 (n - 1) in
-    let dsts = Core.Rng.sample_without_replacement rng k n in
-    let attackers = Core.Rng.sample_without_replacement rng k n in
-    let pairs =
-      Core.Metric.pairs ~attackers ~dsts ()
-      |> Array.to_list
-      |> List.filter (fun p -> p.Core.Metric.attacker <> p.Core.Metric.dst)
-      |> Array.of_list
-    in
-    if Array.length pairs = 0 then true
-    else begin
-      let ok = ref true in
-      List.iter
-        (fun policy ->
-          let rp = Core.Metric.Replay.create g policy dep pairs in
-          ignore (Core.Metric.Replay.eval rp);
-          for _step = 1 to 3 do
-            let delta = random_delta rng (Core.Metric.Replay.graph rp) in
-            ignore (Core.Metric.Replay.step rp delta);
-            let g' = Core.Metric.Replay.graph rp in
-            let vals = Core.Metric.Replay.values rp in
-            let ws = Core.Engine.Workspace.local () in
-            Array.iteri
-              (fun i p ->
-                let want = Core.Metric.pair_bounds ~ws g' policy dep p in
-                let got = vals.(i) in
-                if
-                  not
-                    (bits_equal want.Core.Metric.lb got.Core.Metric.lb
-                    && bits_equal want.Core.Metric.ub got.Core.Metric.ub)
-                then begin
-                  Printf.eprintf
-                    "seed %d policy %s pair (m=%d,d=%d): replay [%.17g, \
-                     %.17g] vs scratch [%.17g, %.17g]\n\
-                     %!"
-                    seed
-                    (Core.Policy.name policy)
-                    p.Core.Metric.attacker p.Core.Metric.dst
-                    got.Core.Metric.lb got.Core.Metric.ub want.Core.Metric.lb
-                    want.Core.Metric.ub;
-                  ok := false
-                end)
-              pairs
-          done;
-          (* The stats must account for every lane exactly once per
-             solve, and carrying must never exceed the lane total. *)
-          let st = Core.Metric.Replay.stats rp in
-          if
-            st.Core.Metric.Replay.steps <> 3
-            || st.Core.Metric.Replay.lanes_solved < Array.length pairs
-          then ok := false)
-        [
-          Core.Experiments.Context.sec1;
-          Core.Experiments.Context.sec2;
-          Core.Experiments.Context.sec3;
-        ];
-      !ok
-    end
-  end
-
 let () =
   Alcotest.run "incremental"
     [
@@ -338,10 +262,5 @@ let () =
           Alcotest.test_case "unsigned-destination key normalization" `Quick
             test_unsigned_dst_normalization;
           Alcotest.test_case "carry republishes clean pairs" `Quick test_carry;
-        ] );
-      ( "topology delta",
-        [
-          qtest "replay matches scratch (3 models, both bounds)" ~count:40
-            prop_replay_exact;
         ] );
     ]

@@ -201,6 +201,11 @@ let write_file path s =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc s)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
 (* [mutate] maps the on-disk bytes to a corrupted variant; the load must
    then fail with a message containing [expect]. *)
 let expect_load_failure what g ~mutate ~expect =
@@ -210,11 +215,6 @@ let expect_load_failure what g ~mutate ~expect =
       match Serial.load_snapshot path with
       | _ -> Alcotest.failf "%s: corrupted snapshot loaded" what
       | exception Failure msg ->
-          let contains s sub =
-            let n = String.length s and m = String.length sub in
-            let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-            m = 0 || go 0
-          in
           Alcotest.(check bool)
             (Printf.sprintf "%s: %S mentions %S" what msg expect)
             true (contains msg expect))
@@ -255,7 +255,15 @@ let test_snapshot_errors () =
      rejected by the CSR cross-checks — here the digest catches it
      first, which is fine; the qcheck round trip plus Check.Topo's
      corruption gate cover the rest. *)
-  ()
+  (* [with_snapshot_file] removes its file on return, so this path no
+     longer exists. *)
+  let missing = with_snapshot_file Fun.id in
+  match Serial.load_snapshot missing with
+  | _ -> Alcotest.fail "a missing snapshot file loaded"
+  | exception Failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "missing file: %S names the path" msg)
+        true (contains msg missing)
 
 let test_snapshot_empty_graph () =
   let g = Graph.of_edges ~n:1 [] in
@@ -265,90 +273,77 @@ let test_snapshot_empty_graph () =
       Alcotest.(check int) "n" 1 (Graph.n g2);
       Alcotest.(check int) "edges" 0 (Graph.num_peer_edges g2))
 
-(* ---- Topology deltas ---------------------------------------------- *)
+(* A mutated snapshot of [g] either loads the same edges — a change in
+   the unchecked header padding, or in a payload word's top bit, which
+   the 63-bit native int never reads — or raises [Failure] naming the
+   file.  Any other exception is a loader bug. *)
+let mutant_loads_or_fails g path ~what bytes =
+  write_file path bytes;
+  match Serial.load_snapshot path with
+  | g2 ->
+      List.sort compare (Graph.edges g) = List.sort compare (Graph.edges g2)
+      || begin
+           Printf.eprintf "%s loaded different edges\n%!" what;
+           false
+         end
+  | exception Failure msg ->
+      contains msg path
+      || begin
+           Printf.eprintf "%s: %S does not name the file\n%!" what msg;
+           false
+         end
+  | exception e ->
+      Printf.eprintf "%s escaped %s\n%!" what (Printexc.to_string e);
+      false
 
-(* Reference semantics: apply the ops to the edge list and rebuild. *)
-let edge_pair = function
-  | Graph.Customer_provider (a, b) -> if a < b then (a, b) else (b, a)
-  | Graph.Peer_peer (a, b) -> if a < b then (a, b) else (b, a)
+let flip_byte s pos mask =
+  set_byte s pos (Char.chr (Char.code s.[pos] lxor mask))
 
-let reference_apply g (delta : Graph.Delta.t) =
-  let edges = ref (Graph.edges g) in
-  Array.iter
-    (fun op ->
-      match op with
-      | Graph.Delta.Add e -> edges := e :: !edges
-      | Graph.Delta.Remove e | Graph.Delta.Flip e ->
-          let p = edge_pair e in
-          edges := List.filter (fun e' -> edge_pair e' <> p) !edges;
-          (match op with
-          | Graph.Delta.Flip e -> edges := e :: !edges
-          | _ -> ()))
-    delta;
-  Graph.of_edges ~n:(Graph.n g) !edges
-
-let test_delta_apply =
-  qtest "Delta.apply matches the edge-list reference" ~count:300 (fun seed ->
+(* The binary counterpart of the text-parser property: one random byte
+   flip (biased toward the header fields and the payload, where every
+   byte is checked) or one truncation of a valid snapshot. *)
+let test_snapshot_mutation =
+  qtest "byte-mutated snapshots load the same edges or raise Failure"
+    ~count:1000 (fun seed ->
       let rng = Rng.create seed in
-      let g = random_graph rng ~max_n:30 in
-      let delta = random_delta rng g in
-      let got = Graph.Delta.apply g delta in
-      let want = reference_apply g delta in
-      csr_identical got want && Graph.version got <> Graph.version g)
+      let g = random_graph rng ~max_n:12 in
+      with_snapshot_file (fun path ->
+          Serial.save_snapshot path g;
+          let s = read_file path in
+          let size = String.length s in
+          let payload = Serial.snapshot_payload_offset in
+          if Rng.int rng 4 = 0 then
+            let len = Rng.int rng size in
+            mutant_loads_or_fails g path (String.sub s 0 len)
+              ~what:(Printf.sprintf "seed %d: truncation to %d" seed len)
+          else
+            let pos =
+              match Rng.int rng 3 with
+              | 0 -> Rng.int rng 64
+              | 1 -> payload + Rng.int rng (size - payload)
+              | _ -> Rng.int rng size
+            in
+            let mask = 1 + Rng.int rng 255 in
+            mutant_loads_or_fails g path (flip_byte s pos mask)
+              ~what:
+                (Printf.sprintf "seed %d: byte %d xor 0x%02x" seed pos mask)))
 
-let collect_view (vw : Graph.view) v =
-  let seg iter =
-    let acc = ref [] in
-    iter (fun u -> acc := u :: !acc) v;
-    List.sort compare !acc
-  in
-  ( seg vw.Graph.iter_customers,
-    seg vw.Graph.iter_peers,
-    seg vw.Graph.iter_providers )
-
-let test_delta_overlay =
-  qtest "overlay view equals the applied graph's view" ~count:300 (fun seed ->
-      let rng = Rng.create seed in
-      let g = random_graph rng ~max_n:30 in
-      let delta = random_delta rng g in
-      let ov = Graph.overlay g delta in
-      let applied = Graph.view (Graph.Delta.apply g delta) in
-      let ok = ref (ov.Graph.view_n = applied.Graph.view_n) in
-      for v = 0 to Graph.n g - 1 do
-        if collect_view ov v <> collect_view applied v then ok := false
-      done;
-      !ok)
-
-let test_delta_endpoints () =
-  let g = graph 4 [ c2p 1 0; c2p 2 0; c2p 3 1 ] in
-  let delta =
-    [| Graph.Delta.Flip (p2p 0 1); Graph.Delta.Remove (c2p 3 1) |]
-  in
-  Alcotest.(check (array int))
-    "endpoints sorted uniq" [| 0; 1; 3 |]
-    (Graph.Delta.endpoints delta);
-  let g2 = Graph.Delta.apply g delta in
-  Alcotest.(check bool)
-    "flip applied" true
-    (Graph.relationship g2 0 1 = Some (p2p 0 1));
-  Alcotest.(check bool) "remove applied" true (Graph.relationship g2 3 1 = None)
-
-let test_delta_invalid () =
-  let g = graph 3 [ c2p 1 0; p2p 1 2 ] in
-  let expect_invalid what delta =
-    match Graph.Delta.apply g delta with
-    | _ -> Alcotest.failf "%s: invalid delta applied" what
-    | exception Invalid_argument _ -> ()
-  in
-  expect_invalid "add adjacent" [| Graph.Delta.Add (p2p 0 1) |];
-  expect_invalid "remove absent" [| Graph.Delta.Remove (c2p 2 0) |];
-  expect_invalid "remove wrong class" [| Graph.Delta.Remove (p2p 0 1) |];
-  expect_invalid "flip same class" [| Graph.Delta.Flip (c2p 1 0) |];
-  expect_invalid "flip absent" [| Graph.Delta.Flip (p2p 0 2) |];
-  expect_invalid "self loop" [| Graph.Delta.Add (p2p 1 1) |];
-  expect_invalid "out of range" [| Graph.Delta.Add (p2p 1 7) |];
-  expect_invalid "duplicate pair"
-    [| Graph.Delta.Remove (c2p 1 0); Graph.Delta.Add (c2p 1 0) |]
+(* Every single-bit flip of the 64 header bytes: a count field whose top
+   byte is corrupted must not overflow the payload-size arithmetic or
+   reach [Unix.map_file] as a bad dimension. *)
+let test_snapshot_header_bits () =
+  let g = graph 4 [ c2p 1 0; p2p 1 2; c2p 3 2 ] in
+  with_snapshot_file (fun path ->
+      Serial.save_snapshot path g;
+      let s = read_file path in
+      for pos = 0 to 63 do
+        for bit = 0 to 7 do
+          let what = Printf.sprintf "header byte %d bit %d" pos bit in
+          let bytes = flip_byte s pos (1 lsl bit) in
+          if not (mutant_loads_or_fails g path ~what bytes) then
+            Alcotest.failf "%s: see stderr" what
+        done
+      done)
 
 (* Tiers per Table 1 on a small hand graph. *)
 let test_tiers () =
@@ -431,14 +426,9 @@ let () =
           test_snapshot_roundtrip;
           Alcotest.test_case "corruption rejected" `Quick test_snapshot_errors;
           Alcotest.test_case "empty graph" `Quick test_snapshot_empty_graph;
-        ] );
-      ( "delta",
-        [
-          test_delta_apply;
-          test_delta_overlay;
-          Alcotest.test_case "endpoints and apply" `Quick test_delta_endpoints;
-          Alcotest.test_case "invalid deltas rejected" `Quick
-            test_delta_invalid;
+          test_snapshot_mutation;
+          Alcotest.test_case "header bit flips" `Quick
+            test_snapshot_header_bits;
         ] );
       ( "tiers",
         [

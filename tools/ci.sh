@@ -102,11 +102,10 @@ snap_dir=$(mktemp -d)
 dune exec bin/sbgp.exe -- gen -n 200 -o "$snap_dir/toy.txt" \
   --snapshot "$snap_dir/toy.snap"
 dune exec bin/sbgp.exe -- check --kernel --graph "$snap_dir/toy.snap" --pairs 4
-dune exec bin/sbgp.exe -- check --topology --graph "$snap_dir/toy.snap" \
-  --inc-pairs 4
+dune exec bin/sbgp.exe -- check --topology --graph "$snap_dir/toy.snap"
 rm -rf "$snap_dir"
 
-echo "== CLI size/scale inputs fail by name (smoke)"
+echo "== CLI size/scale/graph inputs fail by name (smoke)"
 # A bad -n/--size or --scale must be a usage error that names the flag:
 # not exit 0 on a silently clamped sample size, and not cmdliner's
 # "internal error" exit 125 from an escaped Topogen exception.
@@ -131,6 +130,14 @@ expect_flag_error -n check -n 0
 expect_flag_error --scale run --scale 0 baseline
 expect_flag_error --scale run --scale nan baseline
 expect_flag_error --scale run --scale=-1 baseline
+# Likewise an unreadable or malformed --graph file: a missing path, a
+# text file that is not a relationship list, and a snapshot magic
+# followed by garbage.
+printf 'garbage\n' > "$cli_dir/garbage.txt"
+{ printf 'SBGPSNAP'; head -c 4096 /dev/urandom; } > "$cli_dir/garbage.snap"
+expect_flag_error --graph info --graph "$cli_dir/missing.txt"
+expect_flag_error --graph info --graph "$cli_dir/garbage.txt"
+expect_flag_error --graph info --graph "$cli_dir/garbage.snap"
 rm -rf "$cli_dir"
 
 echo "ci: all green"
