@@ -238,6 +238,54 @@ let test_carry () =
   Alcotest.(check bool) "carried plus computed cover the pairs" true
     (carried + engine_runs <= Array.length pairs)
 
+(* The documented contract of the cone on a hand-built hierarchy, where
+   every verdict can be read off the picture: 0 is the provider of 1 and
+   3, 1 of 2, and 3 of 4; AS 3 never deploys, and the rollout adds AS 0
+   to a Full set {1, 2, 4}. *)
+let test_cone_contracts () =
+  let g = graph 5 [ c2p 1 0; c2p 2 1; c2p 3 0; c2p 4 3 ] in
+  let old_dep = Core.Deployment.make ~n:5 ~full:[| 1; 2; 4 |] () in
+  let new_dep = Core.Deployment.make ~n:5 ~full:[| 0; 1; 2; 4 |] () in
+  let dsts = [| 0; 2; 3; 4; 2 |] in
+  let cone = Core.Incremental.compute g ~old_dep ~new_dep ~dsts in
+  let ints = Alcotest.(array int) in
+  Alcotest.(check bool) "upgrade is monotone" true
+    (Core.Incremental.monotone cone);
+  Alcotest.check ints "changed full" [| 0 |]
+    (Core.Incremental.changed_full cone);
+  Alcotest.check ints "changed signs" [| 0 |]
+    (Core.Incremental.changed_signs cone);
+  (* 0 starts signing; 0 sits in 2's secure cone; 3 never signs; 4's
+     only way up is through the undeployed 3; 1 was not requested. *)
+  List.iter
+    (fun (d, want) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "dirty_dst %d" d)
+        want
+        (Core.Incremental.dirty_dst cone d))
+    [ (0, true); (2, true); (3, false); (4, false); (1, true) ];
+  Alcotest.(check bool) "the only witness as attacker is exempt" false
+    (Core.Incremental.dirty_pair cone ~attacker:0 ~dst:2);
+  Alcotest.(check bool) "another attacker stays dirty" true
+    (Core.Incremental.dirty_pair cone ~attacker:1 ~dst:2);
+  Alcotest.(check (pair int int)) "counts each destination once" (2, 2)
+    (Core.Incremental.counts cone);
+  let back = Core.Incremental.compute g ~old_dep:new_dep ~new_dep:old_dep ~dsts in
+  Alcotest.(check bool) "downgrade is not monotone" false
+    (Core.Incremental.monotone back);
+  Alcotest.(check (pair int int)) "downgrade verdicts match" (2, 2)
+    (Core.Incremental.counts back);
+  Alcotest.check_raises "destination out of range"
+    (Invalid_argument "Incremental.compute: destination out of range")
+    (fun () -> ignore (Core.Incremental.compute g ~old_dep ~new_dep ~dsts:[| 5 |]));
+  Alcotest.check_raises "deployment size"
+    (Invalid_argument
+       "Incremental.compute: deployment sizes disagree with the graph")
+    (fun () ->
+      ignore
+        (Core.Incremental.compute g ~old_dep:(Core.Deployment.empty 4) ~new_dep
+           ~dsts))
+
 let () =
   Alcotest.run "incremental"
     [
@@ -262,5 +310,10 @@ let () =
           Alcotest.test_case "unsigned-destination key normalization" `Quick
             test_unsigned_dst_normalization;
           Alcotest.test_case "carry republishes clean pairs" `Quick test_carry;
+        ] );
+      ( "cone contracts",
+        [
+          Alcotest.test_case "hand-built verdicts and input checks" `Quick
+            test_cone_contracts;
         ] );
     ]
