@@ -29,15 +29,15 @@ let n_arg =
   let doc = "Number of ASes in the synthetic topology." in
   Arg.(value & opt positive_int 4000 & info [ "n"; "size" ] ~docv:"N" ~doc)
 
-(* Topogen rejects a size too small for its tier layout with
-   [Invalid_argument]; report that against the flag rather than as
-   cmdliner's "internal error". *)
+(* Topogen rejects a size too small for its tier layout, or above
+   [Topogen.max_n], with [Invalid_argument]; report that against the
+   flag rather than as cmdliner's "internal error". *)
 let size_guard n f =
   match f () with
   | r -> r
   | exception Invalid_argument msg
     when String.starts_with ~prefix:"Topogen.generate" msg ->
-      Printf.eprintf "sbgp: option '-n' (--size): %d is too small (%s)\n%!"
+      Printf.eprintf "sbgp: option '-n' (--size): %d is out of range (%s)\n%!"
         n msg;
       exit Cmd.Exit.cli_error
 

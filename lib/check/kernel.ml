@@ -200,9 +200,13 @@ let analyze_batch ?(attacker_claim = 1) ?tamper g policies dep batches =
 
 (* Partition sub-pass: the batched partition counts of every sampled
    attacker word against the per-pair oracle, lane by lane, for every
-   model the experiments classify under, with and without a source
-   filter.  LPk on a cyclic hierarchy must fail the same way on both
-   sides.  [fault] plants a bug in the batched side (the mutant guard). *)
+   model the experiments classify under.  Each word is classified three
+   ways: each policy alone, all policies in one call (one shared solve
+   per LP variant, one pair of lane closures), and all policies over
+   three source groups plus non-sources, held per group to
+   [count_among].  LPk on a cyclic hierarchy must fail the same way on
+   both sides.  [fault] plants a bug in the batched side (the mutant
+   guard). *)
 module Pt = Metric.Partition
 
 let partition_policies =
@@ -219,76 +223,135 @@ let describe_counts (c : Pt.counts) =
   Printf.sprintf "doomed %d, protectable %d, immune %d, unreachable %d of %d"
     c.Pt.doomed c.Pt.protectable c.Pt.immune c.Pt.unreachable c.Pt.sources
 
+let source_groups = 3
+
 let analyze_partition ?fault g batches =
   let n = Topology.Graph.n g in
-  (* Every third AS, plus the first word's destination and attackers so
-     the per-lane exclusions are exercised. *)
-  let sources =
-    Array.append
-      (Array.init ((n + 2) / 3) (fun i -> 3 * i))
-      (match batches with
-      | [||] -> [||]
-      | _ ->
-          let dst, attackers = batches.(0) in
-          Array.append [| dst |] attackers)
+  (* Group [v mod 4], with 3 meaning "not a source"; the first word's
+     destination and attackers are put in groups so the per-lane
+     exclusions are exercised. *)
+  let ids = Array.init n (fun v -> if v mod 4 = 3 then -1 else v mod 4) in
+  (match batches with
+  | [||] -> ()
+  | _ ->
+      let dst, attackers = batches.(0) in
+      ids.(dst) <- 0;
+      Array.iteri (fun l m -> ids.(m) <- l mod source_groups) attackers);
+  let members =
+    Array.init source_groups (fun grp ->
+        Array.of_list
+          (List.filter (fun v -> ids.(v) = grp) (List.init n Fun.id)))
   in
+  let policies = Array.of_list partition_policies in
   let items = ref 0 in
   let diags = ref [] in
   let guard f = match f () with v -> Ok v | exception Failure msg -> Error msg in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun sources ->
-          Array.iteri
-            (fun word_idx (dst, attackers) ->
-              let batch =
-                guard (fun () ->
-                    Pt.count_batch ?fault ?sources g policy ~dst ~attackers)
-              in
-              let oracle =
-                guard (fun () ->
+  Array.iteri
+    (fun word_idx (dst, attackers) ->
+      let report ~policy ~how ~subjects detail =
+        diags :=
+          !diags
+          @ [
+              D.error ~rule:"kernel/partition-divergence" ~subjects
+                (Printf.sprintf
+                   "batched partition counts diverge from the per-pair \
+                    oracle [%s%s] at dst %d, attacker word %d: %s"
+                   (P.name policy) how dst word_idx detail);
+            ]
+      in
+      (* The first lane where [got] and [want] disagree. *)
+      let compare_lanes ~policy ~how (got : Pt.counts array) want =
+        items := !items + Array.length attackers;
+        let first = ref None in
+        Array.iteri
+          (fun l w -> if !first = None && got.(l) <> w then first := Some l)
+          want;
+        Option.iter
+          (fun l ->
+            report ~policy ~how ~subjects:[ dst; attackers.(l) ]
+              (Printf.sprintf "bit %d (attacker %d): batch %s; per-pair %s" l
+                 attackers.(l) (describe_counts got.(l))
+                 (describe_counts want.(l))))
+          !first
+      in
+      let oracle =
+        Array.map
+          (fun policy ->
+            guard (fun () ->
+                Array.map
+                  (fun attacker -> Pt.count g policy ~attacker ~dst)
+                  attackers))
+          policies
+      in
+      let oracle_among =
+        Array.map
+          (fun policy ->
+            guard (fun () ->
+                Array.map
+                  (fun sources ->
                     Array.map
                       (fun attacker ->
-                        match sources with
-                        | None -> Pt.count g policy ~attacker ~dst
-                        | Some sources ->
-                            Pt.count_among g policy ~attacker ~dst ~sources)
+                        Pt.count_among g policy ~attacker ~dst ~sources)
                       attackers)
-              in
-              let filter = if sources = None then "" else ", source filter" in
-              let report ~subjects detail =
-                diags :=
-                  !diags
-                  @ [
-                      D.error ~rule:"kernel/partition-divergence" ~subjects
-                        (Printf.sprintf
-                           "batched partition counts diverge from the \
-                            per-pair oracle [%s%s] at dst %d, attacker word \
-                            %d: %s"
-                           (P.name policy) filter dst word_idx detail);
-                    ]
-              in
-              items := !items + Array.length attackers;
-              match (batch, oracle) with
-              | Ok got, Ok want ->
-                  let first = ref None in
+                  members))
+          policies
+      in
+      (* A whole call failed: some policy's oracle must fail alike. *)
+      let failed ~how a wants =
+        if
+          not
+            (Array.exists
+               (function Error b -> String.equal a b | Ok _ -> false)
+               wants)
+        then report ~policy:policies.(0) ~how ~subjects:[ dst ]
+            ("batch failed: " ^ a)
+      in
+      let held ~policy ~how got want compare =
+        match (got, want) with
+        | Ok got, Ok want -> compare got want
+        | Error a, Error b when String.equal a b -> ()
+        | Error a, _ -> report ~policy ~how ~subjects:[ dst ] ("batch failed: " ^ a)
+        | Ok _, Error b ->
+            report ~policy ~how ~subjects:[ dst ]
+              ("only the per-pair oracle failed: " ^ b)
+      in
+      Array.iteri
+        (fun p policy ->
+          held ~policy ~how:""
+            (guard (fun () ->
+                 (Pt.count_batch ?fault g [ policy ] ~dst ~attackers).(0).(0)))
+            oracle.(p)
+            (compare_lanes ~policy ~how:""))
+        policies;
+      let how = ", all policies" in
+      (match
+         guard (fun () ->
+             Pt.count_batch ?fault g partition_policies ~dst ~attackers)
+       with
+      | Error a -> failed ~how a oracle
+      | Ok got ->
+          Array.iteri
+            (fun p policy ->
+              held ~policy ~how (Ok got.(p).(0)) oracle.(p)
+                (compare_lanes ~policy ~how))
+            policies);
+      match
+        guard (fun () ->
+            Pt.count_batch ?fault ~groups:(ids, source_groups) g
+              partition_policies ~dst ~attackers)
+      with
+      | Error a -> failed ~how:", grouped" a oracle_among
+      | Ok got ->
+          Array.iteri
+            (fun p policy ->
+              held ~policy ~how:", grouped" (Ok got.(p)) oracle_among.(p)
+                (fun got want ->
                   Array.iteri
-                    (fun l w ->
-                      if !first = None && got.(l) <> w then first := Some l)
-                    want;
-                  Option.iter
-                    (fun l ->
-                      report ~subjects:[ dst; attackers.(l) ]
-                        (Printf.sprintf "bit %d (attacker %d): batch %s; \
-                                         per-pair %s"
-                           l attackers.(l) (describe_counts got.(l))
-                           (describe_counts want.(l))))
-                    !first
-              | Error a, Error b when String.equal a b -> ()
-              | Error a, _ -> report ~subjects:[ dst ] ("batch failed: " ^ a)
-              | Ok _, Error b ->
-                  report ~subjects:[ dst ] ("only the per-pair oracle failed: " ^ b))
-            batches)
-        [ None; Some sources ])
-    partition_policies;
+                    (fun grp want ->
+                      compare_lanes ~policy
+                        ~how:(Printf.sprintf ", group %d" grp)
+                        got.(grp) want)
+                    want))
+            policies)
+    batches;
   (!items, !diags)

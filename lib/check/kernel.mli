@@ -64,11 +64,15 @@ val analyze_partition :
   int * Diagnostic.t list
 (** [analyze_partition g batches] compares
     {!Metric.Partition.count_batch} of every [(dst, attackers)] word
-    against per-pair {!Metric.Partition.count} (and, with a source
-    filter, {!Metric.Partition.count_among}) lane by lane, under
+    against per-pair {!Metric.Partition.count} lane by lane, under
     security 1st, 2nd and 3rd and security 2nd with LP1, LP2 and LP60.
-    Both sides must also fail alike (LPk on a cyclic hierarchy).  A
-    disagreement is a ["kernel/partition-divergence"] error naming the
-    policy, destination, attacker word and bit with both counts.
-    [items] counts compared lanes; [fault] plants a bug in the batched
-    side for the mutant guard. *)
+    Each word is classified by one call per policy and by one call
+    with all six policies (one shared baseline solve per LP variant).
+    A further all-policy call splits the sources into three groups
+    plus non-sources and is held per group to
+    {!Metric.Partition.count_among}.  Both sides must also fail alike
+    (LPk on a cyclic hierarchy).  A disagreement is a
+    ["kernel/partition-divergence"] error naming the policy, the call,
+    destination, attacker word and bit with both counts.  [items]
+    counts compared lanes; [fault] plants a bug in the batched side
+    for the mutant guard. *)

@@ -321,6 +321,25 @@ let partition_unblocked () =
     (Kernel.analyze_partition ~fault:Metric.Partition.Unblocked_attackers g
        [| (0, [| 1 |]) |])
 
+let partition_shared_solve () =
+  (* d = 0 is a customer of the attacker 1, which is a customer of 2;
+     2 also peers with 0.  Under LP1, AS 2 prefers the one-hop peer
+     route (P1) to the bogus two-hop customer route (C2), so it is
+     immune; a baseline solved under the standard LP puts it in the
+     customer bucket, where no route to d avoids the attacker. *)
+  let g =
+    G.of_edges ~n:3
+      [
+        G.Customer_provider (0, 1);
+        G.Customer_provider (1, 2);
+        G.Peer_peer (0, 2);
+      ]
+  in
+  snd
+    (Kernel.analyze_partition
+       ~fault:Metric.Partition.Shared_solve_standard_lp g
+       [| (0, [| 1 |]) |])
+
 (* ---- allocation-gate mutants ------------------------------------- *)
 
 (* A provider chain big enough for the gate's batch and metric probes. *)
@@ -455,6 +474,15 @@ let all =
         "the batched to-d closure drops the per-lane attacker block, so \
          routes through the attacker count as surviving";
       run = partition_unblocked;
+    };
+    {
+      name = "partition-shared-solve-standard-lp";
+      expected_rule = "kernel/partition-divergence";
+      description =
+        "the shared baseline solve runs under the standard LP whatever \
+         the policies' variant, so LPk class buckets are read off the \
+         wrong routing tree";
+      run = partition_shared_solve;
     };
     {
       name = "det-stale-workspace";

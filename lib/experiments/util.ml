@@ -11,13 +11,32 @@ let pct_delta (b : Metric.H_metric.bounds) =
   Printf.sprintf "%+.1f%% / %+.1f%%" (100. *. b.Metric.H_metric.lb)
     (100. *. b.Metric.H_metric.ub)
 
-(* Average partition fractions over a set of attacker-destination pairs.
-   Pairs sharing a destination are classified together, one
-   [Partition.count_batch] call per destination word.  The words are
-   split into two runs per domain, each run reusing one scratch that is
-   dropped with it, and the runs fan out over the pool (integer counts,
-   reduced in input order). *)
-let partition_total ?pool ?sources g policy pairs =
+(* Partition totals over a set of attacker-destination pairs.  Pairs
+   sharing a destination are classified together, under every policy at
+   once, by one [Partition.count_batch] call per destination word.  The
+   words are split into two runs per domain, each run reusing one
+   scratch that is dropped with it, and the runs fan out over the pool.
+   Integer counts are reduced in input order.  For the H(emptyset) line
+   the security-3rd policy of [h_empty]'s variant rides along (its
+   solve is shared with the other policies of that variant); its lane
+   counts give one bounds value per pair, averaged in pair order exactly
+   as [H_metric.h_metric] averages its per-pair bounds. *)
+type partition_totals = {
+  counts : Metric.Partition.counts array array;
+  h_empty : Metric.H_metric.bounds option;
+}
+
+let partition_totals ?pool ?groups ?h_empty g policies pairs =
+  let ngroups = match groups with None -> 1 | Some (_, k) -> k in
+  let np = List.length policies in
+  let policies =
+    match h_empty with
+    | None -> policies
+    | Some _ when Option.is_some groups ->
+        invalid_arg "Util.partition_totals: h_empty with groups"
+    | Some lp ->
+        policies @ [ Routing.Policy.make ~lp Routing.Policy.Security_third ]
+  in
   let items = Metric.H_metric.batch_plan pairs in
   let len = Array.length items in
   let domains =
@@ -31,24 +50,50 @@ let partition_total ?pool ?sources g policy pairs =
       (fun r ->
         let scratch = Metric.Partition.Scratch.create () in
         let ws = Routing.Batch.Workspace.local () in
-        let total = ref Metric.Partition.zero in
-        for i = r * len / runs to ((r + 1) * len / runs) - 1 do
-          let dst, attackers, _pos = items.(i) in
-          total :=
-            Array.fold_left Metric.Partition.add !total
-              (Metric.Partition.count_batch ~ws ~scratch ?sources g policy
-                 ~dst ~attackers)
-        done;
-        !total)
+        let lo = r * len / runs in
+        Array.init (((r + 1) * len / runs) - lo) (fun k ->
+            let dst, attackers, _pos = items.(lo + k) in
+            Metric.Partition.count_batch ~ws ~scratch ?groups g policies ~dst
+              ~attackers))
       (Array.init runs Fun.id)
   in
-  Array.fold_left Metric.Partition.add Metric.Partition.zero per_run
+  let per_item = Array.concat (Array.to_list per_run) in
+  let counts =
+    Array.init np (fun p ->
+        Array.init ngroups (fun grp ->
+            Array.fold_left
+              (fun acc c ->
+                Array.fold_left Metric.Partition.add acc c.(p).(grp))
+              Metric.Partition.zero per_item))
+  in
+  let h_empty =
+    Option.map
+      (fun _ ->
+        let per_pair =
+          Array.make (Array.length pairs) { Metric.H_metric.lb = 0.; ub = 0. }
+        in
+        Array.iteri
+          (fun i c ->
+            let _, _, pos = items.(i) in
+            Array.iteri
+              (fun l (k : Metric.Partition.counts) ->
+                per_pair.(pos.(l)) <-
+                  Metric.H_metric.to_bounds
+                    {
+                      Metric.H_metric.happy_lb = k.immune;
+                      happy_ub = k.immune + k.protectable;
+                      sources = k.sources;
+                    })
+              c.(np).(0))
+          per_item;
+        Metric.H_metric.mean per_pair)
+      h_empty
+  in
+  { counts; h_empty }
 
 let partition_fractions ?pool g policy pairs =
-  Metric.Partition.fractions (partition_total ?pool g policy pairs)
-
-let partition_fractions_among ?pool g policy pairs ~sources =
-  Metric.Partition.fractions (partition_total ?pool ~sources g policy pairs)
+  Metric.Partition.fractions
+    (partition_totals ?pool g [ policy ] pairs).counts.(0).(0)
 
 (* H over pairs, and the improvement over the empty deployment. *)
 let h ?pool ?cache g policy dep pairs =

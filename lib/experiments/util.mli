@@ -10,30 +10,50 @@ val pct_delta : Metric.H_metric.bounds -> string
 (** Render a metric improvement as the change in the pessimistic and the
     optimistic tiebreak worlds: ["+x% / +y%"]. *)
 
+type partition_totals = {
+  counts : Metric.Partition.counts array array;
+      (** [counts.(p).(grp)]: policy [p]'s counts in group [grp], summed
+          over the pairs *)
+  h_empty : Metric.H_metric.bounds option;
+      (** [H(emptyset)] over the pairs when [h_empty] was given *)
+}
+
+val partition_totals :
+  ?pool:Parallel.Pool.t ->
+  ?groups:int array * int ->
+  ?h_empty:Routing.Policy.lp ->
+  Topology.Graph.t ->
+  Routing.Policy.t list ->
+  Metric.H_metric.pair array ->
+  partition_totals
+(** Partition counts of every policy over the pairs, per source group
+    ({!Metric.Partition.count_batch}'s [groups]; one group of every AS
+    by default).  Pairs sharing a destination are classified together,
+    under every policy at once, by one {!Metric.Partition.count_batch}
+    call per destination word ({!Metric.H_metric.batch_plan}): one
+    baseline solve per LP variant and one pair of lane closures serve
+    all the policies.  The words are split into two runs per domain of
+    [pool] (or the default pool); a run reuses its domain's batch
+    workspace and one {!Metric.Partition.Scratch.t} that is dropped
+    with it.  Bit-identical to summing per-pair
+    {!Metric.Partition.count_among}s, for every model.
+
+    [h_empty = lp] also returns the baseline metric [H(emptyset)] over
+    the pairs, read off the lane counts of the security-3rd policy of
+    variant [lp], which shares the solve of that variant: per
+    pair [lb = immune / (n - 2)] and [ub = (immune + protectable) /
+    (n - 2)], averaged in pair order.  That is bit-identical to
+    {!Metric.H_metric.h_metric} of any model under [lp] at the empty
+    deployment.  Raises [Invalid_argument] when given with [groups]. *)
+
 val partition_fractions :
   ?pool:Parallel.Pool.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Metric.H_metric.pair array ->
   float * float * float
-(** Average (doomed, protectable, immune) fractions over the pairs.
-    Pairs sharing a destination are classified together by
-    {!Metric.Partition.count_batch}, one call per destination word
-    ({!Metric.H_metric.batch_plan}).  The words are split into two runs
-    per domain of [pool] (or the default pool); a run reuses its
-    domain's batch workspace and one {!Metric.Partition.Scratch.t} that
-    is dropped with it.  Bit-identical to summing per-pair
-    {!Metric.Partition.count}s, for every model. *)
-
-val partition_fractions_among :
-  ?pool:Parallel.Pool.t ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  Metric.H_metric.pair array ->
-  sources:int array ->
-  float * float * float
-(** {!partition_fractions} counting only the ASes in [sources]
-    ({!Metric.Partition.count_batch}'s [?sources]). *)
+(** Average (doomed, protectable, immune) fractions of one policy over
+    the pairs: {!partition_totals} of [[policy]]. *)
 
 val h :
   ?pool:Parallel.Pool.t ->

@@ -367,6 +367,22 @@ module Cache = struct
     Sc.clear t.store
 end
 
+(* Average per-pair bounds, summed in array order.  [h_metric] reduces
+   with it, and so do callers that derive per-pair bounds elsewhere, so
+   their values stay bit-identical. *)
+let mean vals =
+  let total = Array.length vals in
+  if total = 0 then { lb = 0.; ub = 0. }
+  else begin
+    let lb = ref 0. and ub = ref 0. in
+    Array.iter
+      (fun b ->
+        lb := !lb +. b.lb;
+        ub := !ub +. b.ub)
+      vals;
+    { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
+  end
+
 let h_metric ?progress ?pool ?(domains = 1) ?cache g policy dep pairs =
   let total = Array.length pairs in
   if total = 0 then { lb = 0.; ub = 0. }
@@ -420,13 +436,7 @@ let h_metric ?progress ?pool ?(domains = 1) ?cache g policy dep pairs =
           remember pairs.(i) out.(j))
         idxs
     end;
-    let lb = ref 0. and ub = ref 0. in
-    Array.iter
-      (fun b ->
-        lb := !lb +. b.lb;
-        ub := !ub +. b.ub)
-      vals;
-    { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
+    mean vals
   end
 
 let h_metric_per_dst ?pool ?cache g policy dep ~attackers ~dst =

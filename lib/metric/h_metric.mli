@@ -147,6 +147,11 @@ val batch_plan : pair array -> (int * int array * int array) array
     array ([attackers.(l)] is [pairs.(positions.(l)).attacker]).
     Every input position appears in exactly one item. *)
 
+val mean : bounds array -> bounds
+(** The average of per-pair bounds, summed in array order: the
+    reduction {!h_metric} applies to its pairs.  [{ lb = 0.; ub = 0. }]
+    for no pairs. *)
+
 val h_metric :
   ?progress:(int -> int -> unit) ->
   ?pool:Parallel.Pool.t ->

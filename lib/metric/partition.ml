@@ -321,8 +321,8 @@ let count_among ?ws g policy ~attacker ~dst ~sources =
    instead of one step per set bit. *)
 let planes = 62
 
-let add_lanes c w =
-  let carry = ref w and i = ref 0 in
+let add_lanes c o w =
+  let carry = ref w and i = ref o in
   while !carry <> 0 do
     let p = c.(!i) in
     c.(!i) <- p lxor !carry;
@@ -330,9 +330,9 @@ let add_lanes c w =
     incr i
   done
 
-let lane_count c l =
+let lane_count c o l =
   let r = ref 0 in
-  for i = planes - 1 downto 0 do
+  for i = o + planes - 1 downto o do
     r := (!r lsl 1) lor ((c.(i) lsr l) land 1)
   done;
   !r
@@ -385,7 +385,7 @@ end
 (* [a] if it holds [len] elements, else a fresh zeroed array of [len]. *)
 let fit a len = if Array.length a >= len then a else Array.make len 0
 
-type fault = Unblocked_attackers
+type fault = Unblocked_attackers | Shared_solve_standard_lp
 
 (* Security 1st and 2nd (standard LP): two lane closures replace the two
    scalar closures of every pair.  The to-d closure is rooted at d in
@@ -396,7 +396,7 @@ let closures ?fault (sc : Scratch.t) g ~dst ~attackers =
   let everywhere_d = Array.make lanes dst in
   let blocked =
     match fault with
-    | None -> attackers
+    | None | Some Shared_solve_standard_lp -> attackers
     | Some Unblocked_attackers -> Array.make lanes (-1)
   in
   Routing.Reach.Lanes.compute sc.to_d g ~roots:everywhere_d ~avoid:blocked;
@@ -411,13 +411,11 @@ let closures ?fault (sc : Scratch.t) g ~dst ~attackers =
    masks collapse to one lane word per AS, [avail].  The customer DP
    runs customers first, the peer step reads the finished customer
    words, and the provider closure runs providers first, exactly as in
-   {!sec2_lpk_partition}.  Leaves the words in [sc.d_ok] / [sc.m_ok]. *)
-let lpk_words ?ws (sc : Scratch.t) g policy ~k ~dst ~attackers =
-  if k > 60 then failwith "Partition: Lp_k with k > 60 unsupported";
+   {!sec2_lpk_partition}.  [b] is the baseline solve of this LPk
+   variant toward [dst] for [attackers]; the words are left in
+   [sc.d_ok] / [sc.m_ok]. *)
+let lpk_words (sc : Scratch.t) g ~k b ~dst ~attackers =
   let n = Topology.Graph.n g in
-  let b =
-    Routing.Batch.compute ?ws g policy (Deployment.empty n) ~dst ~attackers
-  in
   sc.topo <- fit sc.topo n;
   sc.indeg <- fit sc.indeg n;
   topo_into g ~order:sc.topo ~indeg:sc.indeg;
@@ -561,7 +559,23 @@ let lpk_words ?ws (sc : Scratch.t) g policy ~k ~dst ~attackers =
   side ~avail:sc.d_ok ~root_lanes:d_roots ~offset:0;
   side ~avail:sc.m_ok ~root_lanes:m_roots ~offset:1
 
-let count_batch ?ws ?scratch ?fault ?sources g policy ~dst ~attackers =
+
+(* Does [policy] classify off the baseline solve of its LP variant?
+   Security 3rd reads its endpoint flags (Corollary E.1) and security
+   2nd with LPk its class buckets; security 1st and 2nd with the
+   standard LP use the lane closures instead. *)
+let needs_solve (policy : Routing.Policy.t) =
+  match (policy.model, policy.lp) with
+  | Security_third, _ | Security_second, Lp_k _ -> true
+  | Security_first, _ | Security_second, Standard -> false
+
+let same_lp (a : Routing.Policy.lp) (b : Routing.Policy.lp) =
+  match (a, b) with
+  | Standard, Standard -> true
+  | Lp_k x, Lp_k y -> x = y
+  | Standard, Lp_k _ | Lp_k _, Standard -> false
+
+let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
   let n = Topology.Graph.n g in
   let lanes = Array.length attackers in
   if lanes < 1 || lanes > Routing.Batch.max_lanes then
@@ -574,92 +588,158 @@ let count_batch ?ws ?scratch ?fault ?sources g policy ~dst ~attackers =
         invalid_arg "Partition.count_batch: attacker out of range";
       if m = dst then invalid_arg "Partition.count_batch: attacker = dst")
     attackers;
-  let keep = Option.map (source_set ~fn:"Partition.count_batch" n) sources in
-  let kept v =
-    match keep with None -> true | Some s -> Prelude.Bitset.mem s v
+  let ids, ngroups =
+    match groups with
+    | None -> (None, 1)
+    | Some (ids, k) ->
+        if Array.length ids <> n then
+          invalid_arg "Partition.count_batch: group array length <> n";
+        if k < 0 then invalid_arg "Partition.count_batch: group count < 0";
+        Array.iter
+          (fun i ->
+            if i < -1 || i >= k then
+              invalid_arg "Partition.count_batch: group id out of range")
+          ids;
+        (Some ids, k)
   in
-  let doomed = Array.make planes 0 and protectable = Array.make planes 0 in
-  let immune = Array.make planes 0 in
-  let tally ~d_ok ~m_ok =
-    add_lanes protectable (d_ok land m_ok);
-    add_lanes immune (d_ok land lnot m_ok);
-    add_lanes doomed (m_ok land lnot d_ok)
+  let group v = match ids with None -> 0 | Some ids -> ids.(v) in
+  let policies = Array.of_list policies in
+  Array.iter
+    (fun (p : Routing.Policy.t) ->
+      match (p.model, p.lp) with
+      | Security_second, Lp_k k when k > 60 ->
+          failwith "Partition: Lp_k with k > 60 unsupported"
+      | (Security_first | Security_second | Security_third), _ -> ())
+    policies;
+  (* Per policy, one block of bit-sliced counters per group:
+     protectable, immune, doomed.  An AS of group -1 is never tallied. *)
+  let stride = 3 * planes in
+  let counters =
+    Array.map (fun _ -> Array.make (ngroups * stride) 0) policies
+  in
+  let tally c v ~d_ok ~m_ok =
+    let grp = group v in
+    if grp >= 0 then begin
+      let o = grp * stride in
+      add_lanes c o (d_ok land m_ok);
+      add_lanes c (o + planes) (d_ok land lnot m_ok);
+      add_lanes c (o + (2 * planes)) (m_ok land lnot d_ok)
+    end
   in
   let sc = match scratch with Some sc -> sc | None -> Scratch.create () in
-  (match ((policy : Routing.Policy.t).model, policy.lp) with
-  | Security_third, _ ->
-      (* Corollary E.1: the endpoint flags of the baseline attacked
-         solve decide; root groups (class code 3) are the excluded
-         sources, and lanes without a group are unreached. *)
-      let b =
-        Routing.Batch.compute ?ws g policy (Deployment.empty n) ~dst
-          ~attackers
-      in
-      Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
-          let open Routing.Engine.Packed in
-          if cls_code_of word <> 3 && kept v then
-            tally
-              ~d_ok:(if to_d_of word then mask else 0)
-              ~m_ok:(if to_m_of word then mask else 0))
-  | Security_first, _ ->
-      (* Observations E.3 / E.4: any perceivable route to each end. *)
+  (* One pair of lane closures serves security 1st and security 2nd
+     with the standard LP. *)
+  let closed = ref false in
+  let close () =
+    if not !closed then begin
       closures ?fault sc g ~dst ~attackers;
-      let open Routing.Reach.Lanes in
-      for v = 0 to n - 1 do
-        if kept v then
-          tally
-            ~d_ok:(customer sc.to_d v lor peer sc.to_d v lor provider sc.to_d v)
-            ~m_ok:(customer sc.to_m v lor peer sc.to_m v lor provider sc.to_m v)
-      done
-  | Security_second, Standard ->
-      (* Corollary E.2: the best class over both closures is
-         deployment-invariant; each end must be reachable within it. *)
-      closures ?fault sc g ~dst ~attackers;
-      let open Routing.Reach.Lanes in
-      for v = 0 to n - 1 do
-        if kept v then begin
-          let cd = customer sc.to_d v and cm = customer sc.to_m v in
-          let pd = peer sc.to_d v and pm = peer sc.to_m v in
-          let vd = provider sc.to_d v and vm = provider sc.to_m v in
-          let bc = cd lor cm in
-          let bp = (pd lor pm) land lnot bc in
-          let bv = (vd lor vm) land lnot (bc lor bp) in
-          tally
-            ~d_ok:((bc land cd) lor (bp land pd) lor (bv land vd))
-            ~m_ok:((bc land cm) lor (bp land pm) lor (bv land vm))
-        end
-      done
-  | Security_second, Lp_k k ->
-      lpk_words ?ws sc g policy ~k ~dst ~attackers;
-      for v = 0 to n - 1 do
-        if kept v then tally ~d_ok:sc.d_ok.(v) ~m_ok:sc.m_ok.(v)
-      done);
-  let sources_of =
-    match keep with
-    | None -> fun _ -> n - 2
-    | Some s ->
-        let total = Prelude.Bitset.cardinal s in
-        let d_in = if Prelude.Bitset.mem s dst then 1 else 0 in
-        fun m -> total - d_in - if Prelude.Bitset.mem s m then 1 else 0
+      closed := true
+    end
   in
-  Array.mapi
-    (fun l m ->
-      let doomed = lane_count doomed l
-      and protectable = lane_count protectable l
-      and immune = lane_count immune l in
-      let sources = sources_of m in
-      {
-        doomed;
-        protectable;
-        immune;
-        unreachable = sources - doomed - protectable - immune;
-        sources;
-      })
-    attackers
+  Array.iteri
+    (fun i (p : Routing.Policy.t) ->
+      let c = counters.(i) in
+      let open Routing.Reach.Lanes in
+      match (p.model, p.lp) with
+      | Security_first, _ ->
+          (* Observations E.3 / E.4: any perceivable route to each end. *)
+          close ();
+          for v = 0 to n - 1 do
+            tally c v
+              ~d_ok:(customer sc.to_d v lor peer sc.to_d v lor provider sc.to_d v)
+              ~m_ok:(customer sc.to_m v lor peer sc.to_m v lor provider sc.to_m v)
+          done
+      | Security_second, Standard ->
+          (* Corollary E.2: the best class over both closures is
+             deployment-invariant; each end must be reachable within it. *)
+          close ();
+          for v = 0 to n - 1 do
+            let cd = customer sc.to_d v and cm = customer sc.to_m v in
+            let pd = peer sc.to_d v and pm = peer sc.to_m v in
+            let vd = provider sc.to_d v and vm = provider sc.to_m v in
+            let bc = cd lor cm in
+            let bp = (pd lor pm) land lnot bc in
+            let bv = (vd lor vm) land lnot (bc lor bp) in
+            tally c v
+              ~d_ok:((bc land cd) lor (bp land pd) lor (bv land vd))
+              ~m_ok:((bc land cm) lor (bp land pm) lor (bv land vm))
+          done
+      | Security_third, _ | Security_second, Lp_k _ -> ())
+    policies;
+  (* One baseline solve per LP variant.  At S = {} nothing is signed, so
+     the security-3rd solve of a variant is the solve of every model
+     under it; it serves every policy of that variant. *)
+  let solved = Array.make (Array.length policies) false in
+  Array.iteri
+    (fun i (p : Routing.Policy.t) ->
+      if needs_solve p && not solved.(i) then begin
+        let lp =
+          match fault with
+          | Some Shared_solve_standard_lp -> Routing.Policy.Standard
+          | Some Unblocked_attackers | None -> p.lp
+        in
+        let b =
+          Routing.Batch.compute ?ws g
+            (Routing.Policy.make ~lp Routing.Policy.Security_third)
+            (Deployment.empty n) ~dst ~attackers
+        in
+        Array.iteri
+          (fun j (q : Routing.Policy.t) ->
+            if needs_solve q && same_lp q.lp p.lp then begin
+              solved.(j) <- true;
+              let c = counters.(j) in
+              match (q.model, q.lp) with
+              | Security_second, Lp_k k ->
+                  lpk_words sc g ~k b ~dst ~attackers;
+                  for v = 0 to n - 1 do
+                    tally c v ~d_ok:sc.d_ok.(v) ~m_ok:sc.m_ok.(v)
+                  done
+              | (Security_first | Security_second | Security_third), _ ->
+                  (* Security 3rd, Corollary E.1: the endpoint flags
+                     of the baseline attacked solve decide; root groups
+                     (class code 3) are the excluded sources, and lanes
+                     without a group are unreached. *)
+                  Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
+                      let open Routing.Engine.Packed in
+                      if cls_code_of word <> 3 then
+                        tally c v
+                          ~d_ok:(if to_d_of word then mask else 0)
+                          ~m_ok:(if to_m_of word then mask else 0))
+            end)
+          policies
+      end)
+    policies;
+  (* A lane's sources in a group: its members minus the destination
+     and the lane's attacker. *)
+  let size = Array.make ngroups 0 in
+  (match ids with
+  | None -> size.(0) <- n
+  | Some ids ->
+      Array.iter (fun i -> if i >= 0 then size.(i) <- size.(i) + 1) ids);
+  let excluded grp v = if group v = grp then 1 else 0 in
+  Array.map
+    (fun c ->
+      Array.init ngroups (fun grp ->
+          let o = grp * stride in
+          Array.mapi
+            (fun l m ->
+              let protectable = lane_count c o l
+              and immune = lane_count c (o + planes) l
+              and doomed = lane_count c (o + (2 * planes)) l in
+              let sources = size.(grp) - excluded grp dst - excluded grp m in
+              {
+                doomed;
+                protectable;
+                immune;
+                unreachable = sources - doomed - protectable - immune;
+                sources;
+              })
+            attackers))
+    counters
 
 let sec3_count_batch ?ws g policy ~dst ~attackers =
   (match (policy : Routing.Policy.t).model with
   | Security_third -> ()
   | Security_first | Security_second ->
       invalid_arg "Partition.sec3_count_batch: policy is not security 3rd");
-  count_batch ?ws g policy ~dst ~attackers
+  (count_batch ?ws g [ policy ] ~dst ~attackers).(0).(0)

@@ -92,13 +92,16 @@ val count_among :
 
     {!compute}, {!count} and {!count_among} classify one pair at a
     time and are the oracle.  Production callers classify every
-    attacker of a destination at once with {!count_batch}. *)
+    attacker of a destination at once, under every policy they report,
+    with {!count_batch}. *)
 
-type fault = Unblocked_attackers
+type fault = Unblocked_attackers | Shared_solve_standard_lp
 (** A deliberately planted bug for the checker's mutant guard
     ({!Check.Mutants}): [Unblocked_attackers] drops the per-lane
-    attacker block from the to-d closure of security 1st and 2nd.
-    Production callers never pass a fault. *)
+    attacker block from the to-d closure of security 1st and 2nd;
+    [Shared_solve_standard_lp] runs the shared baseline solve under the
+    standard LP whatever the policies' variant.  Production callers
+    never pass a fault. *)
 
 module Scratch : sig
   type t
@@ -116,39 +119,52 @@ val count_batch :
   ?ws:Routing.Batch.Workspace.t ->
   ?scratch:Scratch.t ->
   ?fault:fault ->
-  ?sources:int array ->
+  ?groups:int array * int ->
   Topology.Graph.t ->
-  Routing.Policy.t ->
+  Routing.Policy.t list ->
   dst:int ->
   attackers:int array ->
-  counts array
-(** [count_batch g policy ~dst ~attackers] returns, in input order, the
-    counts of every attacker of one destination.  Element [l] is
-    bit-identical to [count g policy ~attacker:attackers.(l) ~dst], or
-    with [sources] to [count_among ... ~sources], for every model and
-    local-preference variant.  Attackers may repeat.
+  counts array array array
+(** [count_batch g policies ~dst ~attackers] classifies every attacker
+    of one destination under every policy.  Element [.(p).(0).(l)] is
+    bit-identical to [count g (List.nth policies p) ~attacker:attackers.(l)
+    ~dst], for every model and local-preference variant.  Attackers
+    may repeat.
+
+    [groups = (ids, k)] splits the sources into [k] groups: AS [v]
+    belongs to group [ids.(v)], and [-1] means "not a source".  The
+    result is then indexed [.(p).(grp).(l)], and each element is
+    bit-identical to {!count_among} with the members of [grp] as
+    sources: a lane's source count is the group's size minus the
+    destination and the lane's attacker when they fall in it.
+    Without [groups] there is one group holding every AS.
 
     Each attacker is a {e lane}, a bit of a native-int word, and each
     model derives two lane words per AS — "a route to [d] survives" and
-    "a route to [m] can win" — from one shared computation:
+    "a route to [m] can win" — from computations shared across the
+    policies:
 
-    - security 3rd: the endpoint flags of one batched baseline solve
-      ({!Routing.Batch}, Corollary E.1);
-    - security 1st and 2nd with the standard LP: one lane closure
-      rooted at [d] with lane [l] avoiding [attackers.(l)], and one
-      rooted at [attackers.(l)] in lane [l] avoiding [d]
-      ({!Routing.Reach.compute_lanes}; Observations E.3/E.4, Corollary
-      E.2);
-    - security 2nd with LPk: one batched baseline solve for the
-      per-lane class buckets, then the class-respecting customer DP,
-      peer step and provider closure on lane words.
+    - security 3rd and security 2nd with LPk: one batched baseline
+      solve ({!Routing.Batch}) per distinct local-preference variant,
+      run under the security-3rd policy of that variant.  At S = {}
+      nothing is signed, so that solve is the baseline of every model.
+      Security 3rd reads its endpoint flags (Corollary E.1); security
+      2nd with LPk reads the per-lane class buckets and runs the
+      class-respecting customer DP, peer step and provider closure on
+      lane words;
+    - security 1st and 2nd with the standard LP: one pair of lane
+      closures, one rooted at [d] with lane [l] avoiding
+      [attackers.(l)] and one rooted at [attackers.(l)] in lane [l]
+      avoiding [d] ({!Routing.Reach.Lanes.compute}; Observations
+      E.3/E.4, Corollary E.2).
 
-    [ws] serves the batched solve and [scratch] (default: fresh) the
-    lane words.  Raises [Invalid_argument] when the
-    lane count is outside [1 .. Routing.Batch.max_lanes], an id or a
-    source is out of range, or an attacker equals [dst]; raises
-    [Failure] for LPk with [k > 60] or a cyclic customer-provider
-    hierarchy, as {!compute} does. *)
+    [ws] serves the batched solves and [scratch] (default: fresh) the
+    lane words.  Raises [Invalid_argument] when the lane count is
+    outside [1 .. Routing.Batch.max_lanes], an id is out of range, an
+    attacker equals [dst], or [groups] has the wrong length, a negative
+    count or an id outside [-1 .. k-1]; raises [Failure] for security
+    2nd with LPk for [k > 60] or a cyclic customer-provider hierarchy,
+    as {!compute} does. *)
 
 val sec3_count_batch :
   ?ws:Routing.Batch.Workspace.t ->
@@ -157,5 +173,5 @@ val sec3_count_batch :
   dst:int ->
   attackers:int array ->
   counts array
-(** {!count_batch} restricted to security 3rd.  Raises
+(** {!count_batch} for one security-3rd policy, without groups.  Raises
     [Invalid_argument] if the policy's model is not [Security_third]. *)

@@ -48,7 +48,7 @@ val in_class : t -> Policy.route_class -> int -> bool
 
     The partition layer needs the closures of every attacker sharing a
     destination: rooted at [d] avoiding each [m], and rooted at each [m]
-    avoiding [d].  {!compute_lanes} runs up to
+    avoiding [d].  {!Lanes.compute} runs up to
     {!Prelude.Bitset.word_bits} of them in one traversal, one closure per
     bit of a lane word (bit-parallel multi-source BFS). *)
 

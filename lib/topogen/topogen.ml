@@ -59,6 +59,10 @@ let level_mid = 3
 let level_edge = 4 (* content providers and small CPs *)
 let level_stub = 5
 
+(* Far beyond any AS-level Internet graph, and small enough that no
+   size arithmetic below overflows. *)
+let max_n = 1 lsl 26
+
 (* Knob validation.  Every failure names the offending parameter: a
    degenerate knob otherwise surfaces far away (a division by zero inside
    [Rng.geometric], an empty [Rng.weighted_index] pool, or — worst — a
@@ -68,7 +72,12 @@ let validate p =
     invalid_arg (Printf.sprintf "Topogen.generate: %s %s" knob msg)
   in
   if p.n < 1 then bad "n" "must be positive";
-  let tier knob v = if v < 1 then bad knob "must be at least 1" in
+  if p.n > max_n then bad "n" (Printf.sprintf "must be at most %d" max_n);
+  (* Each tier at most [n], so the tier sum below cannot overflow. *)
+  let tier knob v =
+    if v < 1 then bad knob "must be at least 1";
+    if v > p.n then bad knob "must not exceed n"
+  in
   tier "n_t1" p.n_t1;
   tier "n_t2" p.n_t2;
   tier "n_t3" p.n_t3;
@@ -250,11 +259,14 @@ let generate ?params rng =
     int_of_float (float_of_int (Array.length stubs) *. p.frac_stub_x)
   in
   let stub_peer_pool = Array.append small_cps stubs in
-  for i = 0 to n_stub_x - 1 do
-    (* Spread stub-x ASes across the stub range. *)
-    let v = stubs.(n_t1_stub + ((i * 7) mod (Array.length stubs - n_t1_stub))) in
-    draw_peers v stub_peer_pool 2
-  done;
+  (* Spread stub-x ASes across the non-T1 stubs; with every stub homed
+     to Tier 1s there are none to spread over. *)
+  let n_free = Array.length stubs - n_t1_stub in
+  if n_free > 0 then
+    for i = 0 to n_stub_x - 1 do
+      let v = stubs.(n_t1_stub + ((i * 7) mod n_free)) in
+      draw_peers v stub_peer_pool 2
+    done;
   let graph = Topology.Graph.of_edges ~n !edges in
   { graph; cps; levels }
 

@@ -54,13 +54,22 @@ type result = {
   levels : int array; (** generation level per AS: 0 = T1 ... 5 = stub *)
 }
 
+val max_n : int
+(** Largest accepted [n], 2{^26}: far beyond any AS-level Internet
+    graph, and small enough that the generator's size arithmetic cannot
+    overflow. *)
+
 val generate : ?params:params -> Rng.t -> result
 (** Deterministic for a given generator state.  Raises [Invalid_argument]
-    naming the offending knob if a parameter is out of range: [n] too
-    small for the requested tier sizes, a tier count below 1, a fraction
-    outside [0, 1], [stub_provider_p] outside (0, 1], a negative peer
-    degree, or — for [n] above [calibration_n] — a transit/edge tier
-    count below half the calibrated density (see [calibration_n]). *)
+    whose message starts with ["Topogen.generate: "] and names the
+    offending knob if a parameter is out of range: [n] outside
+    [1 .. max_n] or too small for the requested tier sizes, a tier count
+    below 1 or above [n], a fraction outside [0, 1], [stub_provider_p]
+    outside (0, 1], a negative peer degree, or — for [n] above
+    [calibration_n] — a transit/edge tier count below half the
+    calibrated density (see [calibration_n]).  With
+    [frac_t1_stub = 1.] every stub is homed to Tier 1s and no stub
+    peers. *)
 
 val tiers : result -> Topology.Tiers.t
 (** Classify the generated graph with the designated CP list. *)

@@ -199,6 +199,16 @@ let mutant_tests =
             (D.has_rule diags m.C.Mutants.expected_rule)))
     C.Mutants.all
 
+(* The partition mutants' gadgets pass the sub-pass unfaulted, so their
+   detection is the planted bug's doing. *)
+let partition_gadgets_clean () =
+  let clean what g =
+    Alcotest.(check bool) what true
+      (no_diags what (snd (C.Kernel.analyze_partition g [| (0, [| 1 |]) |])))
+  in
+  clean "unblocked-attacker gadget" (graph 4 [ c2p 0 1; c2p 1 2; c2p 3 2 ]);
+  clean "shared-solve gadget" (graph 3 [ c2p 0 1; c2p 1 2; p2p 0 2 ])
+
 let mutant_report_clean () =
   let r = C.Mutants.report () in
   Alcotest.(check bool) "no false negatives" true (D.ok r)
@@ -402,7 +412,11 @@ let () =
       ("determinism", [ determinism_clean ]);
       ( "mutants",
         mutant_tests
-        @ [ Alcotest.test_case "report clean" `Quick mutant_report_clean ] );
+        @ [
+            Alcotest.test_case "report clean" `Quick mutant_report_clean;
+            Alcotest.test_case "partition gadgets clean unfaulted" `Quick
+              partition_gadgets_clean;
+          ] );
       ( "integration",
         [
           Alcotest.test_case "full run clean" `Quick full_run_clean;

@@ -457,33 +457,102 @@ let random_batch rng =
   in
   (g, policy, dst, attackers)
 
+(* A random nonempty subset of {sec1, sec2, sec3} x {Std, LP1, LP2,
+   LP60}, in random order: one [count_batch] call mixes models and
+   variants, so it exercises the shared solves and closures. *)
+let random_policies rng =
+  let all =
+    List.concat_map
+      (fun lp -> List.map (fun m -> Policy.make ~lp m) Policy.all_models)
+      Policy.[ Standard; Lp_k 1; Lp_k 2; Lp_k 60 ]
+  in
+  let picked = List.filter (fun _ -> Rng.int rng 3 = 0) all in
+  let picked =
+    if picked = [] then [ List.nth all (Rng.int rng (List.length all)) ]
+    else picked
+  in
+  let keyed = List.map (fun p -> (Rng.int rng 1000, p)) picked in
+  List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) keyed)
+
 (* The batched partition counts = per-pair {!Partition.count}, lane by
-   lane, for every model. *)
+   lane, for every policy of a multi-policy call. *)
 let test_count_batch =
   qtest "batched partition counts = per-pair counts, every model"
-    ~count:400 (fun seed ->
+    ~count:300 (fun seed ->
       let rng = Rng.create seed in
-      let g, policy, dst, attackers = random_batch rng in
-      let batch = Partition.count_batch g policy ~dst ~attackers in
-      Array.length batch = Array.length attackers
-      && Array.for_all2
-           (fun m got -> got = Partition.count g policy ~attacker:m ~dst)
-           attackers batch)
+      let g, _, dst, attackers = random_batch rng in
+      let policies = random_policies rng in
+      let batch = Partition.count_batch g policies ~dst ~attackers in
+      Array.length batch = List.length policies
+      && List.for_all2
+           (fun policy got ->
+             Array.length got = 1
+             && Array.length got.(0) = Array.length attackers
+             && Array.for_all2
+                  (fun m got -> got = Partition.count g policy ~attacker:m ~dst)
+                  attackers got.(0))
+           policies (Array.to_list batch))
 
-(* Same with a source filter (duplicates allowed): = per-pair
-   {!Partition.count_among}. *)
+(* Random source groups (-1 = not a source): each group's counts =
+   per-pair {!Partition.count_among} over the group's members. *)
 let test_count_batch_sources =
   qtest "batched partition counts among sources = per-pair, every model"
-    ~count:400 (fun seed ->
+    ~count:300 (fun seed ->
       let rng = Rng.create seed in
       let g, policy, dst, attackers = random_batch rng in
       let n = Graph.n g in
-      let sources = Array.init (Rng.int rng (n + 4)) (fun _ -> Rng.int rng n) in
-      let batch = Partition.count_batch ~sources g policy ~dst ~attackers in
-      Array.for_all2
-        (fun m got ->
-          got = Partition.count_among g policy ~attacker:m ~dst ~sources)
-        attackers batch)
+      let k = 1 + Rng.int rng 4 in
+      let ids = Array.init n (fun _ -> Rng.int rng (k + 1) - 1) in
+      let policies =
+        if Rng.bool rng then [ policy ] else random_policies rng
+      in
+      let batch =
+        Partition.count_batch ~groups:(ids, k) g policies ~dst ~attackers
+      in
+      List.for_all2
+        (fun policy got ->
+          Array.length got = k
+          && List.for_all
+               (fun grp ->
+                 let sources =
+                   Array.of_list
+                     (List.filter (fun v -> ids.(v) = grp) (List.init n Fun.id))
+                 in
+                 Array.for_all2
+                   (fun m got ->
+                     got
+                     = Partition.count_among g policy ~attacker:m ~dst ~sources)
+                   attackers got.(grp))
+               (List.init k Fun.id))
+        policies (Array.to_list batch))
+
+(* The H(emptyset) line read off the shared security-3rd lane counts is
+   bit-identical to {!Metric.h_metric} at the empty deployment, under
+   the standard LP and LP2, whichever policies share the call. *)
+let test_partition_h_empty =
+  qtest "partition-derived H(emptyset) = h_metric, Std and LP2" ~count:150
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:30 in
+      let n = Graph.n g in
+      let draw () =
+        Rng.sample_without_replacement rng (1 + Rng.int rng (min 6 n)) n
+      in
+      let pairs = Metric.pairs ~attackers:(draw ()) ~dsts:(draw ()) () in
+      let lp = if Rng.bool rng then Policy.Standard else Policy.Lp_k 2 in
+      let policies = random_policies rng in
+      let totals =
+        Experiments.Util.partition_totals ~h_empty:lp g policies pairs
+      in
+      let want =
+        Metric.h_metric g (Policy.make ~lp Policy.Security_third)
+          (Deployment.empty n) pairs
+      in
+      match totals.Experiments.Util.h_empty with
+      | Some got ->
+          Float.equal got.Metric.lb want.Metric.lb
+          && Float.equal got.Metric.ub want.Metric.ub
+      | None -> false)
 
 let test_count_batch_errors () =
   let g = graph 3 [ c2p 0 1; c2p 1 2 ] in
@@ -492,15 +561,22 @@ let test_count_batch_errors () =
       (fun () -> ignore (f ()))
   in
   raises "lane count out of range" (fun () ->
-      Partition.count_batch g sec2 ~dst:0 ~attackers:[||]);
+      Partition.count_batch g [ sec2 ] ~dst:0 ~attackers:[||]);
   raises "attacker = dst" (fun () ->
-      Partition.count_batch g sec2 ~dst:0 ~attackers:[| 1; 0 |]);
+      Partition.count_batch g [ sec2 ] ~dst:0 ~attackers:[| 1; 0 |]);
   raises "attacker out of range" (fun () ->
-      Partition.count_batch g sec2 ~dst:0 ~attackers:[| 3 |]);
+      Partition.count_batch g [ sec2 ] ~dst:0 ~attackers:[| 3 |]);
   raises "dst out of range" (fun () ->
-      Partition.count_batch g sec2 ~dst:(-1) ~attackers:[| 1 |]);
-  raises "source out of range" (fun () ->
-      Partition.count_batch ~sources:[| 5 |] g sec2 ~dst:0 ~attackers:[| 1 |]);
+      Partition.count_batch g [ sec2 ] ~dst:(-1) ~attackers:[| 1 |]);
+  raises "group array length <> n" (fun () ->
+      Partition.count_batch ~groups:([| 0; 0 |], 1) g [ sec2 ] ~dst:0
+        ~attackers:[| 1 |]);
+  raises "group count < 0" (fun () ->
+      Partition.count_batch ~groups:([| -1; -1; -1 |], -1) g [ sec2 ] ~dst:0
+        ~attackers:[| 1 |]);
+  raises "group id out of range" (fun () ->
+      Partition.count_batch ~groups:([| 0; 2; 0 |], 2) g [ sec2 ] ~dst:0
+        ~attackers:[| 1 |]);
   (* LPk needs an acyclic hierarchy: the same Failure as the oracle. *)
   let cyclic = graph 3 [ c2p 0 1; c2p 1 2; c2p 2 0 ] in
   let lp2 = Policy.make ~lp:(Policy.Lp_k 2) Policy.Security_second in
@@ -508,7 +584,7 @@ let test_count_batch_errors () =
   Alcotest.check_raises "oracle rejects a cycle" cycle (fun () ->
       ignore (Partition.count cyclic lp2 ~attacker:1 ~dst:0));
   Alcotest.check_raises "batch rejects a cycle" cycle (fun () ->
-      ignore (Partition.count_batch cyclic lp2 ~dst:0 ~attackers:[| 1 |]))
+      ignore (Partition.count_batch cyclic [ sec1; lp2 ] ~dst:0 ~attackers:[| 1 |]))
 
 let () =
   Alcotest.run "metric"
@@ -538,6 +614,7 @@ let () =
           test_sec3_count_batch;
           test_count_batch;
           test_count_batch_sources;
+          test_partition_h_empty;
           Alcotest.test_case "batched count errors" `Quick
             test_count_batch_errors;
         ] );

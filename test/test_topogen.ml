@@ -198,6 +198,81 @@ let test_knob_validation () =
   expect_knob "stale edge tier above calibration" "n_small_cp"
     { (Topogen.default_params ~n:big) with Topogen.n_small_cp = 300 }
 
+(* Knobs that used to escape unnamed: every stub homed to Tier 1s left
+   no stub to spread the stub-x peering over (a division by zero), and
+   an [n] or tier count of [max_int] reached [Array.make]. *)
+let test_degenerate_knobs () =
+  let base = Topogen.default_params ~n:1500 in
+  let r =
+    Topogen.generate ~params:{ base with Topogen.frac_t1_stub = 1. }
+      (Rng.create 0)
+  in
+  Alcotest.(check int) "all-T1-stub graph generated" 1500
+    (Graph.n r.Topogen.graph);
+  expect_knob "n = max_int" "n" { base with Topogen.n = max_int };
+  expect_knob "n above max_n" "n" { base with Topogen.n = Topogen.max_n + 1 };
+  expect_knob "n_t1 = max_int" "n_t1" { base with Topogen.n_t1 = max_int };
+  expect_knob "n_cp = max_int" "n_cp" { base with Topogen.n_cp = max_int };
+  (* Tiers that each fit but overflow no sum: still named. *)
+  expect_knob "tier sum" "n too small"
+    { base with Topogen.n_t2 = 1500; n_t3 = 1500; n_small_cp = 1500 }
+
+(* Random knob records: the defaults at a random size with each knob
+   replaced, one time in eight, by a draw that includes 0, 1, NaN,
+   infinity and max_int.  Each record either generates or raises an
+   [Invalid_argument] that names the generator.  Sizes that pass
+   validation stay below 2000. *)
+let test_knob_fuzz =
+  Test_helpers.qtest "random knobs generate or fail by name" ~count:300
+    (fun seed ->
+      let rng = Rng.create seed in
+      let int_knob ~small v =
+        if Rng.int rng 8 > 0 then v
+        else
+          match Rng.int rng 6 with
+          | 0 -> 0
+          | 1 -> 1
+          | 2 -> max_int
+          | 3 -> -1 - Rng.int rng 5
+          | _ -> Rng.int rng (small + 1)
+      in
+      let float_knob v =
+        if Rng.int rng 8 > 0 then v
+        else
+          match Rng.int rng 6 with
+          | 0 -> 0.
+          | 1 -> 1.
+          | 2 -> Float.nan
+          | 3 -> Float.infinity
+          | 4 -> -.Rng.float rng 1.
+          | _ -> Rng.float rng 1.
+      in
+      let d = Topogen.default_params ~n:(100 + Rng.int rng 1900) in
+      let p =
+        {
+          Topogen.n = int_knob ~small:2000 d.Topogen.n;
+          n_t1 = int_knob ~small:20 d.Topogen.n_t1;
+          n_t2 = int_knob ~small:60 d.Topogen.n_t2;
+          n_t3 = int_knob ~small:60 d.Topogen.n_t3;
+          n_cp = int_knob ~small:20 d.Topogen.n_cp;
+          n_small_cp = int_knob ~small:80 d.Topogen.n_small_cp;
+          frac_mid = float_knob d.Topogen.frac_mid;
+          frac_t1_stub = float_knob d.Topogen.frac_t1_stub;
+          frac_stub_x = float_knob d.Topogen.frac_stub_x;
+          stub_provider_p = float_knob d.Topogen.stub_provider_p;
+          t2_peer_degree = int_knob ~small:20 d.Topogen.t2_peer_degree;
+          t3_peer_degree = int_knob ~small:20 d.Topogen.t3_peer_degree;
+          mid_peer_degree = int_knob ~small:10 d.Topogen.mid_peer_degree;
+          cp_peer_degree = int_knob ~small:50 d.Topogen.cp_peer_degree;
+          small_cp_peer_degree =
+            int_knob ~small:10 d.Topogen.small_cp_peer_degree;
+        }
+      in
+      match Topogen.generate ~params:p rng with
+      | r -> Graph.n r.Topogen.graph = p.Topogen.n
+      | exception Invalid_argument msg ->
+          String.starts_with ~prefix:"Topogen.generate: " msg)
+
 let () =
   Alcotest.run "topogen"
     [
@@ -217,5 +292,8 @@ let () =
           Alcotest.test_case "default params scale" `Quick
             test_calibration_params;
           Alcotest.test_case "knob validation" `Quick test_knob_validation;
+          Alcotest.test_case "degenerate knobs fail by name" `Quick
+            test_degenerate_knobs;
+          test_knob_fuzz;
         ] );
     ]

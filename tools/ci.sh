@@ -81,11 +81,29 @@ dune exec bin/sbgp.exe -- check -n 150 --pairs 6 --det-pairs 3 --mutants \
   --incremental --inc-pairs 4
 
 echo "== sbgp check --kernel partition sub-pass (smoke)"
-# Batched partition counts (every model, 1/7/63 lanes, with and without
-# a source filter) against the per-pair oracle on a toy graph; the
-# partition-unblocked-attacker mutant in the check smoke above proves
-# the sub-pass catches a dropped attacker block.
+# Batched partition counts (every model, 1/7/63 lanes; one policy per
+# call, all policies in one call, and all policies over source groups)
+# against the per-pair oracle on a toy graph; the partition mutants in
+# the check smoke above prove the sub-pass catches a dropped attacker
+# block and a shared solve under the wrong LP variant.
 dune exec bin/sbgp.exe -- check --kernel -n 150 --pairs 4
+
+echo "== partition experiments are domain-count independent (smoke)"
+# The H(emptyset) lines of Figures 3-5 and 24 are assembled from per-run
+# pieces of the shared partition solves; the printed outputs must not
+# depend on how many domains ran them, on the base graph or the IXP one.
+det_dir=$(mktemp -d)
+for graph in base ixp; do
+  ixp_flag=""
+  if [ "$graph" = ixp ]; then ixp_flag="--ixp"; fi
+  for d in 1 2; do
+    dune exec bin/sbgp.exe -- run -n 400 --scale 0.3 --domains "$d" $ixp_flag \
+      --out "$det_dir/$graph-d$d" partitions partitions-tier lpk > /dev/null
+  done
+  diff -r "$det_dir/$graph-d1" "$det_dir/$graph-d2" || {
+    echo "partition experiments differ across domain counts ($graph)"; exit 1; }
+done
+rm -rf "$det_dir"
 
 echo "== sbgp check --optimize (smoke)"
 # The Max-k optimizer differential gate on its own: CELF must replay the
