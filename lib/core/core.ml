@@ -10,6 +10,7 @@
 
 module Bucket_queue = Prelude.Bucket_queue
 module Bitset = Prelude.Bitset
+module Lane_count = Prelude.Lane_count
 module Shard_cache = Prelude.Shard_cache
 module Stats = Prelude.Stats
 module Table = Prelude.Table

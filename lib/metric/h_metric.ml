@@ -181,29 +181,30 @@ let batch_plan pairs =
         Array.copy item.bpos ))
     (batch_items pairs idxs)
 
+(* Per-domain lane counters of [batch_item_bounds]: block 0 tallies the
+   upper bound (to-d), block 1 the lower bound (to-d and not to-m). *)
+let lane_counts = Domain.DLS.new_key Prelude.Lane_count.create
+
 (* Solve one item and fold the per-lane bounds off the groups. *)
 let batch_item_bounds ~ws g policy dep pairs idxs item =
   let attackers =
     Array.map (fun j -> pairs.(idxs.(j)).attacker) item.bpos
   in
   let b = Routing.Batch.compute ~ws g policy dep ~dst:item.bdst ~attackers in
-  let lanes = Array.length attackers in
-  let lb = Array.make lanes 0 and ub = Array.make lanes 0 in
-  (* Hoisted once per solve: building these inside the [iter_fixed]
-     callback would box two fresh closures per fixed group. *)
-  let tick_ub l = ub.(l) <- ub.(l) + 1 in
-  let tick_lb l = lb.(l) <- lb.(l) + 1 in
+  let n = Topology.Graph.n g in
+  let c = Domain.DLS.get lane_counts in
+  Prelude.Lane_count.reset c ~blocks:2 ~max:n;
   Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
       let open Routing.Engine.Packed in
       if cls_code_of word <> 3 && to_d_of word then begin
-        Prelude.Bitset.iter_word tick_ub mask;
-        if not (to_m_of word) then Prelude.Bitset.iter_word tick_lb mask
+        Prelude.Lane_count.add c 0 mask;
+        if not (to_m_of word) then Prelude.Lane_count.add c 1 mask
       end);
-  let sources = Topology.Graph.n g - 2 in
-  Array.init lanes (fun l ->
+  let sources = n - 2 in
+  Array.init (Array.length attackers) (fun l ->
       {
-        lb = Prelude.Stats.fraction lb.(l) sources;
-        ub = Prelude.Stats.fraction ub.(l) sources;
+        lb = Prelude.Stats.fraction (Prelude.Lane_count.count c 1 l) sources;
+        ub = Prelude.Stats.fraction (Prelude.Lane_count.count c 0 l) sources;
       })
 
 (* Evaluate [pairs.(idxs.(j))] for every [j], batched by destination.

@@ -311,36 +311,17 @@ let count_among ?ws g policy ~attacker ~dst ~sources =
    attackers sharing a destination.  Per AS, each model yields two lane
    words — [d_ok] (a class-respecting route to d survives) and [m_ok] (a
    route to m can win) — and the per-lane class counts fold straight off
-   them.  An excluded source of a lane (the destination everywhere, the
-   lane's own attacker in its lane) has both bits clear in that lane, so
-   it is never tallied; [unreachable] is the remainder of the lane's
-   source count, exactly as {!count_of_classes} skips those slots. *)
+   them into bit-sliced {!Prelude.Lane_count} blocks.  An excluded
+   source of a lane (the destination everywhere, the lane's own attacker
+   in its lane) has both bits clear in that lane, so it is never
+   tallied; [unreachable] is the remainder of the lane's source count,
+   exactly as {!count_of_classes} skips those slots. *)
 
-(* Bit-sliced per-lane counters: plane [i] holds bit [i] of every lane's
-   count, so adding a lane word is a carry chain (two steps amortized)
-   instead of one step per set bit. *)
-let planes = 62
-
-let add_lanes c o w =
-  let carry = ref w and i = ref o in
-  while !carry <> 0 do
-    let p = c.(!i) in
-    c.(!i) <- p lxor !carry;
-    carry := p land !carry;
-    incr i
-  done
-
-let lane_count c o l =
-  let r = ref 0 in
-  for i = o + planes - 1 downto o do
-    r := (!r lsl 1) lor ((c.(i) lsr l) land 1)
-  done;
-  !r
-
-(* Buffers of the batched paths: the two lane closures and the LPk
-   words, grown on demand.  Fresh size-n arrays per destination word
-   would cost more than the closures themselves (each is a new
-   major-heap block), so callers reuse one across a run of words. *)
+(* Buffers of the batched paths: the two lane closures, the LPk words
+   and the per-lane class counters, grown on demand.  Fresh size-n
+   arrays per destination word would cost more than the closures
+   themselves (each is a new major-heap block), so callers reuse one
+   across a run of words. *)
 module Scratch = struct
   type t = {
     to_d : Routing.Reach.Lanes.t;
@@ -359,6 +340,7 @@ module Scratch = struct
     mutable m_roots : int array;
     mutable d_ok : int array;
     mutable m_ok : int array;
+    counts : Prelude.Lane_count.t;
   }
 
   let create () =
@@ -379,6 +361,7 @@ module Scratch = struct
       m_roots = [||];
       d_ok = [||];
       m_ok = [||];
+      counts = Prelude.Lane_count.create ();
     }
 end
 
@@ -611,22 +594,23 @@ let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
           failwith "Partition: Lp_k with k > 60 unsupported"
       | (Security_first | Security_second | Security_third), _ -> ())
     policies;
-  (* Per policy, one block of bit-sliced counters per group:
-     protectable, immune, doomed.  An AS of group -1 is never tallied. *)
-  let stride = 3 * planes in
-  let counters =
-    Array.map (fun _ -> Array.make (ngroups * stride) 0) policies
-  in
-  let tally c v ~d_ok ~m_ok =
+  let sc = match scratch with Some sc -> sc | None -> Scratch.create () in
+  (* Three lane-counter blocks per (policy, group): protectable, immune,
+     doomed, at block [3 * (i * ngroups + grp)] for policy [i].  An AS of
+     group -1 is never tallied. *)
+  let counts = sc.counts in
+  Prelude.Lane_count.reset counts
+    ~blocks:(3 * Array.length policies * ngroups)
+    ~max:n;
+  let tally i v ~d_ok ~m_ok =
     let grp = group v in
     if grp >= 0 then begin
-      let o = grp * stride in
-      add_lanes c o (d_ok land m_ok);
-      add_lanes c (o + planes) (d_ok land lnot m_ok);
-      add_lanes c (o + (2 * planes)) (m_ok land lnot d_ok)
+      let blk = 3 * ((i * ngroups) + grp) in
+      Prelude.Lane_count.add counts blk (d_ok land m_ok);
+      Prelude.Lane_count.add counts (blk + 1) (d_ok land lnot m_ok);
+      Prelude.Lane_count.add counts (blk + 2) (m_ok land lnot d_ok)
     end
   in
-  let sc = match scratch with Some sc -> sc | None -> Scratch.create () in
   (* One pair of lane closures serves security 1st and security 2nd
      with the standard LP. *)
   let closed = ref false in
@@ -638,14 +622,13 @@ let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
   in
   Array.iteri
     (fun i (p : Routing.Policy.t) ->
-      let c = counters.(i) in
       let open Routing.Reach.Lanes in
       match (p.model, p.lp) with
       | Security_first, _ ->
           (* Observations E.3 / E.4: any perceivable route to each end. *)
           close ();
           for v = 0 to n - 1 do
-            tally c v
+            tally i v
               ~d_ok:(customer sc.to_d v lor peer sc.to_d v lor provider sc.to_d v)
               ~m_ok:(customer sc.to_m v lor peer sc.to_m v lor provider sc.to_m v)
           done
@@ -660,7 +643,7 @@ let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
             let bc = cd lor cm in
             let bp = (pd lor pm) land lnot bc in
             let bv = (vd lor vm) land lnot (bc lor bp) in
-            tally c v
+            tally i v
               ~d_ok:((bc land cd) lor (bp land pd) lor (bv land vd))
               ~m_ok:((bc land cm) lor (bp land pm) lor (bv land vm))
           done
@@ -687,12 +670,11 @@ let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
           (fun j (q : Routing.Policy.t) ->
             if needs_solve q && same_lp q.lp p.lp then begin
               solved.(j) <- true;
-              let c = counters.(j) in
               match (q.model, q.lp) with
               | Security_second, Lp_k k ->
                   lpk_words sc g ~k b ~dst ~attackers;
                   for v = 0 to n - 1 do
-                    tally c v ~d_ok:sc.d_ok.(v) ~m_ok:sc.m_ok.(v)
+                    tally j v ~d_ok:sc.d_ok.(v) ~m_ok:sc.m_ok.(v)
                   done
               | (Security_first | Security_second | Security_third), _ ->
                   (* Security 3rd, Corollary E.1: the endpoint flags
@@ -702,7 +684,7 @@ let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
                   Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
                       let open Routing.Engine.Packed in
                       if cls_code_of word <> 3 then
-                        tally c v
+                        tally j v
                           ~d_ok:(if to_d_of word then mask else 0)
                           ~m_ok:(if to_m_of word then mask else 0))
             end)
@@ -717,15 +699,15 @@ let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
   | Some ids ->
       Array.iter (fun i -> if i >= 0 then size.(i) <- size.(i) + 1) ids);
   let excluded grp v = if group v = grp then 1 else 0 in
-  Array.map
-    (fun c ->
+  Array.mapi
+    (fun i _ ->
       Array.init ngroups (fun grp ->
-          let o = grp * stride in
+          let blk = 3 * ((i * ngroups) + grp) in
           Array.mapi
             (fun l m ->
-              let protectable = lane_count c o l
-              and immune = lane_count c (o + planes) l
-              and doomed = lane_count c (o + (2 * planes)) l in
+              let protectable = Prelude.Lane_count.count counts blk l
+              and immune = Prelude.Lane_count.count counts (blk + 1) l
+              and doomed = Prelude.Lane_count.count counts (blk + 2) l in
               let sources = size.(grp) - excluded grp dst - excluded grp m in
               {
                 doomed;
@@ -735,7 +717,7 @@ let count_batch ?ws ?scratch ?fault ?groups g policies ~dst ~attackers =
                 sources;
               })
             attackers))
-    counters
+    policies
 
 let sec3_count_batch ?ws g policy ~dst ~attackers =
   (match (policy : Routing.Policy.t).model with

@@ -106,8 +106,9 @@ type fault = Unblocked_attackers | Shared_solve_standard_lp
 module Scratch : sig
   type t
   (** Reusable buffers for {!count_batch}: two lane closures
-      ({!Routing.Reach.Lanes}) and the LPk lane words, about 30 int
-      arrays of the graph's size, grown on demand.  Not thread-safe:
+      ({!Routing.Reach.Lanes}), the LPk lane words, about 30 int arrays
+      of the graph's size, and the per-lane class counters
+      ({!Prelude.Lane_count}), grown on demand.  Not thread-safe:
       one per domain at a time.  Callers keep one for a run of
       destination words and drop it afterwards, so nothing of size n
       outlives the run. *)

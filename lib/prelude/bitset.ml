@@ -48,20 +48,28 @@ let clear t =
 
 let cardinal t = t.card
 
-(* Kernighan loop: one iteration per set bit.  Valid for any word
-   pattern a [t] can hold (bit 62 included: [w - 1] on [min_int] wraps
-   to [max_int], clearing exactly the sign bit). *)
-let popcount_word w0 =
-  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-  go w0 0
+(* SWAR popcount of a non-negative word (bits 0..61): pair, nibble and
+   byte sums, then one multiply gathers the byte sums into the top byte.
+   The total is at most 62, so it fits in bits 56..61 and the multiply's
+   wraparound never reaches it. *)
+let popcount_low x =
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
-let iter_word f w0 =
-  let w = ref w0 in
-  while !w <> 0 do
-    let b = !w land - !w in
-    f (popcount_word (b - 1));
-    w := !w lxor b
-  done
+let popcount_word w = popcount_low (w land max_int) + (w lsr 62)
+
+(* Apply [f] to [base + i] for every set bit [i] of [w], lowest first.
+   [b - 1] of the isolated lowest bit [b] is the mask of the bits below
+   it, so its popcount is the index — fixed-step, even for the sign bit
+   ([min_int - 1] wraps to [max_int], 62 bits). *)
+let rec iter_bits f base w =
+  if w <> 0 then begin
+    let b = w land -w in
+    f (base + popcount_low (b - 1));
+    iter_bits f base (w lxor b)
+  end
 
 let get_word t j =
   if j < 0 || j >= Array.length t.words then
@@ -76,14 +84,11 @@ let fold_words f t init =
   !acc
 
 let iter_set f t =
-  for j = 0 to Array.length t.words - 1 do
-    let w = t.words.(j) in
-    if w <> 0 then
-      let base = j * word_bits in
-      iter_word (fun b -> f (base + b)) w
+  let words = t.words in
+  for j = 0 to Array.length words - 1 do
+    let w = words.(j) in
+    if w <> 0 then iter_bits f (j * word_bits) w
   done
-
-let iter = iter_set
 
 let fold f t init =
   let acc = ref init in
@@ -91,13 +96,6 @@ let fold f t init =
   !acc
 
 let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let of_list n items =
-  let t = create n in
-  List.iter (add t) items;
-  t
-
-let copy t = { words = Array.copy t.words; n = t.n; card = t.card }
 
 let recount t =
   let c = ref 0 in

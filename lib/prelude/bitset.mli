@@ -51,8 +51,9 @@ val fold_words : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_set : (int -> unit) -> t -> unit
 (** [iter_set f t] applies [f] to every member in ascending order.
     Cost is O(words + cardinal), not O(length): zero words are skipped
-    whole and set bits are extracted with [w land (-w)], which is what
-    makes sparse iteration over a large universe cheap. *)
+    whole, and each set bit is isolated with [w land (-w)] and its index
+    found in a fixed number of word operations, which is what makes
+    sparse iteration over a large universe cheap. *)
 
 val union_into : into:t -> t -> unit
 (** [union_into ~into src] adds every member of [src] to [into], word
@@ -66,18 +67,7 @@ val diff_into : into:t -> t -> unit
 
 val popcount_word : int -> int
 (** Number of set bits in a raw word (any OCaml int, sign bit
-    included).  One loop iteration per set bit. *)
-
-val iter_word : (int -> unit) -> int -> unit
-(** [iter_word f w] applies [f] to the index of every set bit of the
-    raw word [w] in ascending order (0 ≤ index ≤ 62).  Usable on lane
-    masks that never lived in a set. *)
-
-val iter : (int -> unit) -> t -> unit
-(** Alias of {!iter_set} (kept for callers of the byte-backed
-    predecessor). *)
+    included), in a fixed number of word operations. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
-val of_list : int -> int list -> t
-val copy : t -> t

@@ -60,8 +60,8 @@ let compute g ~root ?(avoid = -1) ?only () =
   in
   let seed u = iter_seg 0 push_provider u in
   seed root;
-  Prelude.Bitset.iter seed customer_set;
-  Prelude.Bitset.iter seed peer_set;
+  Prelude.Bitset.iter_set seed customer_set;
+  Prelude.Bitset.iter_set seed peer_set;
   while not (Queue.is_empty queue) do
     seed (Queue.pop queue)
   done;

@@ -372,6 +372,42 @@ let test_batched_h_metric_identity =
       let total = float_of_int (Array.length pairs) in
       got.Metric.lb = !lb /. total && got.Metric.ub = !ub /. total)
 
+(* A whole 63-lane word: one destination against 63 attackers on a
+   generated graph of 80-119 ASes, so lanes 6..62 (the sign bit
+   included) are folded too.  Exact float equality with the scalar
+   per-pair fold, every model, standard LP and LP2. *)
+let test_batched_h_metric_full_word =
+  qtest "batched h_metric = scalar fold on a full 63-lane word" ~count:20
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 80 + Rng.int rng 40 in
+      let g =
+        (Topogen.generate ~params:(Topogen.default_params ~n) rng).Topogen.graph
+      in
+      let dep = random_deployment rng n in
+      let picked = Rng.sample_without_replacement rng (Batch.max_lanes + 1) n in
+      let dst = picked.(0) in
+      let pairs =
+        Array.init Batch.max_lanes (fun i ->
+            { Metric.attacker = picked.(i + 1); dst })
+      in
+      List.for_all
+        (fun policy ->
+          let got = Metric.h_metric g policy dep pairs in
+          let lb = ref 0. and ub = ref 0. in
+          Array.iter
+            (fun p ->
+              let b = Metric.pair_bounds g policy dep p in
+              lb := !lb +. b.Metric.lb;
+              ub := !ub +. b.Metric.ub)
+            pairs;
+          let total = float_of_int (Array.length pairs) in
+          Float.equal got.Metric.lb (!lb /. total)
+          && Float.equal got.Metric.ub (!ub /. total))
+        (List.concat_map
+           (fun lp -> List.map (fun m -> Policy.make ~lp m) Policy.all_models)
+           Policy.[ Standard; Lp_k 2 ]))
+
 (* batch_plan covers each input position exactly once, groups by the
    position's destination and never exceeds the lane bound. *)
 let test_batch_plan =
@@ -603,6 +639,7 @@ let () =
           test_baseline_model_independent;
           test_batched_h_metric_identity;
           test_batch_plan;
+          test_batched_h_metric_full_word;
         ] );
       ( "partitions",
         [

@@ -177,14 +177,17 @@ let test_bitset_raw_words () =
   Alcotest.(check int) "popcount -1" 63 (Bitset.popcount_word (-1));
   Alcotest.(check int) "popcount sign bit" 1
     (Bitset.popcount_word (1 lsl 62));
-  let bits w =
+  (* One-word sets: bit 62 is the last bit of the word, the sign bit
+     of the backing int. *)
+  let bits members =
+    let s = Bitset.create Bitset.word_bits in
+    List.iter (Bitset.add s) members;
     let acc = ref [] in
-    Bitset.iter_word (fun b -> acc := b :: !acc) w;
+    Bitset.iter_set (fun b -> acc := b :: !acc) s;
     List.rev !acc
   in
-  Alcotest.(check (list int)) "iter_word mixed" [ 0; 5; 62 ]
-    (bits (1 lor (1 lsl 5) lor (1 lsl 62)));
-  Alcotest.(check (list int)) "iter_word empty" [] (bits 0)
+  Alcotest.(check (list int)) "iter_set mixed" [ 0; 5; 62 ] (bits [ 62; 0; 5 ]);
+  Alcotest.(check (list int)) "iter_set empty" [] (bits [])
 
 let test_bitset_word_bounds () =
   let s = Bitset.create 10 and tiny = Bitset.create 9 in
@@ -235,6 +238,109 @@ let test_table_csv_quoting () =
   Table.add_row t [ "q\"q" ];
   Alcotest.(check string) "quoted" "v\n\"a,b\"\n\"q\"\"q\"\n" (Table.csv t)
 
+(* A random lane word over all 63 bits, the sign bit (lane 62) set
+   about half the time. *)
+let random_word rng =
+  let lo = Rng.int rng (1 lsl 30) and mid = Rng.int rng (1 lsl 30) in
+  lo lor (mid lsl 30) lor (Rng.int rng 8 lsl 60)
+
+(* The fixed-step popcount and set-bit index against a per-bit scan,
+   on random words with the sign bit set half the time. *)
+let test_bitset_word_ops_vs_scan =
+  Test_helpers.qtest "popcount and set-bit indices agree with a bit scan"
+    ~count:500 (fun seed ->
+      let rng = Rng.create seed in
+      let w = random_word rng in
+      let want =
+        List.filter (fun b -> w land (1 lsl b) <> 0)
+          (List.init Bitset.word_bits Fun.id)
+      in
+      let s = Bitset.create (2 * Bitset.word_bits) in
+      List.iter (fun b -> Bitset.add s (Bitset.word_bits + b)) want;
+      let got = ref [] in
+      Bitset.iter_set (fun i -> got := (i - Bitset.word_bits) :: !got) s;
+      Bitset.popcount_word w = List.length want && List.rev !got = want)
+
+(* Bit-sliced counters against a per-bit reference: random words into
+   random blocks, every lane of every block compared, then a reset to a
+   different shape must read all zeros. *)
+let test_lane_count_vs_reference =
+  Test_helpers.qtest "lane counts agree with a per-bit reference" ~count:300
+    (fun seed ->
+      let rng = Rng.create seed in
+      let blocks = 1 + Rng.int rng 5 in
+      let adds = Rng.int rng 200 in
+      let c = Lane_count.create () in
+      Lane_count.reset c ~blocks ~max:adds;
+      let want = Array.make_matrix blocks Bitset.word_bits 0 in
+      for _ = 1 to adds do
+        let blk = Rng.int rng blocks in
+        let w = if Rng.int rng 8 = 0 then -1 else random_word rng in
+        Lane_count.add c blk w;
+        for l = 0 to Bitset.word_bits - 1 do
+          if w land (1 lsl l) <> 0 then want.(blk).(l) <- want.(blk).(l) + 1
+        done
+      done;
+      let agrees blocks want =
+        List.for_all
+          (fun blk ->
+            List.for_all
+              (fun l -> Lane_count.count c blk l = want blk l)
+              (List.init Bitset.word_bits Fun.id))
+          (List.init blocks Fun.id)
+      in
+      let counted = agrees blocks (fun blk l -> want.(blk).(l)) in
+      let blocks' = 1 + Rng.int rng 8 in
+      Lane_count.reset c ~blocks:blocks' ~max:(Rng.int rng 5000);
+      counted && agrees blocks' (fun _ _ -> 0))
+
+(* Carries across plane boundaries: every lane of a block steps from
+   2^k - 1 to 2^k, with the block sized exactly for 2^k, while the
+   blocks on either side hold other counts. *)
+let test_lane_count_carries () =
+  let c = Lane_count.create () in
+  for k = 0 to 10 do
+    let top = 1 lsl k in
+    Lane_count.reset c ~blocks:3 ~max:top;
+    Lane_count.add c 0 (1 lsl 62);
+    for _ = 1 to top - 1 do
+      Lane_count.add c 1 (-1)
+    done;
+    Alcotest.(check int) (Printf.sprintf "2^%d - 1" k) (top - 1)
+      (Lane_count.count c 1 62);
+    Lane_count.add c 1 (-1);
+    Lane_count.add c 2 1;
+    for l = 0 to Bitset.word_bits - 1 do
+      Alcotest.(check int) (Printf.sprintf "2^%d lane %d" k l) top
+        (Lane_count.count c 1 l)
+    done;
+    Alcotest.(check (list int)) "block 0 untouched"
+      [ 0; 0; 1 ]
+      [ Lane_count.count c 0 0; Lane_count.count c 0 61; Lane_count.count c 0 62 ];
+    Alcotest.(check (list int)) "block 2 untouched"
+      [ 1; 0 ]
+      [ Lane_count.count c 2 0; Lane_count.count c 2 62 ]
+  done
+
+let test_lane_count_errors () =
+  let c = Lane_count.create () in
+  Lane_count.reset c ~blocks:2 ~max:1;
+  Lane_count.add c 0 5;
+  Alcotest.check_raises "count outgrows its planes"
+    (Invalid_argument "Lane_count.add: count exceeds max") (fun () ->
+      Lane_count.add c 0 4);
+  Alcotest.check_raises "block out of range"
+    (Invalid_argument "Lane_count.add: block out of range") (fun () ->
+      Lane_count.add c 2 1);
+  Alcotest.check_raises "count block out of range"
+    (Invalid_argument "Lane_count.count: block out of range") (fun () ->
+      ignore (Lane_count.count c (-1) 0));
+  Alcotest.check_raises "lane out of range"
+    (Invalid_argument "Lane_count.count: lane out of range") (fun () ->
+      ignore (Lane_count.count c 0 Bitset.word_bits));
+  Alcotest.check_raises "negative max" (Invalid_argument "Lane_count.reset")
+    (fun () -> Lane_count.reset c ~blocks:1 ~max:(-1))
+
 let () =
   Alcotest.run "prelude"
     [
@@ -255,6 +361,14 @@ let () =
           Alcotest.test_case "word bounds" `Quick test_bitset_word_bounds;
           test_bitset_vs_reference;
           test_bitset_words_vs_model;
+          test_bitset_word_ops_vs_scan;
+        ] );
+      ( "lane_count",
+        [
+          Alcotest.test_case "carries across planes" `Quick
+            test_lane_count_carries;
+          Alcotest.test_case "errors" `Quick test_lane_count_errors;
+          test_lane_count_vs_reference;
         ] );
       ( "stats",
         [

@@ -105,6 +105,21 @@ for graph in base ixp; do
 done
 rm -rf "$det_dir"
 
+echo "== rollout experiments are domain-count independent (smoke)"
+# The H-metric folds of the rollout family (batched words, lane
+# counters, the incremental evaluator and the Max-k optimizer) run on
+# the worker pool; their printed outputs must not depend on how many
+# domains ran them.
+det_dir=$(mktemp -d)
+for d in 1 2; do
+  dune exec bin/sbgp.exe -- run -n 400 --scale 0.3 --domains "$d" \
+    --out "$det_dir/d$d" rollout per-destination early-adopters optimize \
+    > /dev/null
+done
+diff -r "$det_dir/d1" "$det_dir/d2" || {
+  echo "rollout experiments differ across domain counts"; exit 1; }
+rm -rf "$det_dir"
+
 echo "== sbgp check --optimize (smoke)"
 # The Max-k optimizer differential gate on its own: CELF must replay the
 # naive greedy's pick sequence bit-for-bit on the set-cover gadget and
