@@ -366,7 +366,7 @@ let check_cmd =
       & info [ "alloc" ]
           ~doc:
             "Run only the allocation gate: minor words per (destination, \
-             attacker) pair of the scalar, batched and reference kernels \
+             attacker) pair of the one-lane, batched and reference kernels \
              with reused workspaces, measured against recorded budgets; \
              every measured loop is identity-gated and a cold-vs-warm \
              probe of the metric cache demands bit-identical H.  Runs \

@@ -29,17 +29,15 @@ let damage_sec2 () =
       ]
   in
   let s = Deployment.make ~n:10 ~full:[| 0; 2; 3; 4; 5 |] () in
-  let col =
-    Phenomena.collateral g sec2 ~baseline:(Deployment.empty 10) ~deployment:s
-      ~attacker:9 ~dst:0
+  let collateral policy =
+    let word dep = Phenomena.word g policy dep ~dst:0 ~attackers:[| 9 |] in
+    (Phenomena.collateral ~baseline:(word (Deployment.empty 10)) (word s)).(0)
   in
+  let col = collateral sec2 in
   Printf.printf "   damages: %d, benefits: %d\n\n" col.Phenomena.damage
     col.Phenomena.benefit;
   (* Theorem 6.1: impossible under security 3rd. *)
-  let col3 =
-    Phenomena.collateral g sec3 ~baseline:(Deployment.empty 10) ~deployment:s
-      ~attacker:9 ~dst:0
-  in
+  let col3 = collateral sec3 in
   Printf.printf "   same scenario under security 3rd (Theorem 6.1): damages = %d\n\n"
     col3.Phenomena.damage
 
@@ -49,9 +47,9 @@ let benefit_sec3 () =
   print_endline "   the secure one; its insecure customer is rescued.";
   let g = Graph.of_edges ~n:5 [ c2p 0 2; p2p 1 2; p2p 1 3; c2p 4 1 ] in
   let s = Deployment.make ~n:5 ~full:[| 0; 1; 2 |] () in
+  let word dep = Phenomena.word g sec3 dep ~dst:0 ~attackers:[| 3 |] in
   let col =
-    Phenomena.collateral g sec3 ~baseline:(Deployment.empty 5) ~deployment:s
-      ~attacker:3 ~dst:0
+    (Phenomena.collateral ~baseline:(word (Deployment.empty 5)) (word s)).(0)
   in
   Printf.printf "   benefits: %d, damages: %d\n\n" col.Phenomena.benefit
     col.Phenomena.damage
@@ -88,10 +86,11 @@ let aggregate () =
     if dst <> attacker then
       List.iter
         (fun policy ->
+          let word dep = Phenomena.word g policy dep ~dst ~attackers:[| attacker |] in
           let col =
-            Phenomena.collateral g policy
-              ~baseline:(Deployment.empty (Graph.n g))
-              ~deployment:dep ~attacker ~dst
+            (Phenomena.collateral
+               ~baseline:(word (Deployment.empty (Graph.n g)))
+               (word dep)).(0)
           in
           let b, d = Hashtbl.find totals policy in
           Hashtbl.replace totals policy

@@ -52,8 +52,9 @@ let () =
 
   (* 5. Why so little?  Count the protocol downgrades (Section 3.2). *)
   let dg =
-    Phenomena.downgrades g (Policy.make Policy.Security_third) dep ~attacker
-      ~dst
+    (Phenomena.downgrades
+       (Phenomena.word g (Policy.make Policy.Security_third) dep ~dst
+          ~attackers:[| attacker |])).(0)
   in
   Printf.printf
     "under security 3rd, %d sources had secure routes and %d were downgraded \

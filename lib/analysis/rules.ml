@@ -106,7 +106,7 @@ let default ?(allow = Allowlist.empty) ?(budget = Budget.empty) () =
     swallow_scopes = [ "lib"; "bin" ];
     unsafe_scopes = [ "lib"; "bin" ];
     kernel_modules =
-      [ "Routing.Engine"; "Routing.Batch"; "Routing.Reach"; "Routing.Staged";
+      [ "Routing.Batch"; "Routing.Reach"; "Routing.Staged";
         "Topology.Graph.Csr"; "Prelude.Bucket_queue" ];
     taint_roots =
       [ "Routing.Engine.compute"; "Routing.Reference.*";

@@ -53,32 +53,39 @@ let of_counts strategy ~filtered (c : Metric.H_metric.counts) =
     sources = c.Metric.H_metric.sources;
   }
 
-let simulate ?(origin_auth = true) g policy dep ~attacker ~dst strategy =
+let simulate ?(origin_auth = true) ?ws g policy dep ~dst ~attackers strategy =
   (match strategy with
   | Fabricated_path k when k < 1 ->
       invalid_arg "Attacks.simulate: Fabricated_path requires length >= 1"
   | _ -> ());
+  let n = Topology.Graph.n g in
+  Array.iter
+    (fun m ->
+      if m < 0 || m >= n then
+        invalid_arg
+          (Printf.sprintf "Attacks.simulate: attacker %d out of range" m);
+      if m = dst then invalid_arg "Attacks.simulate: attacker = dst")
+    attackers;
   let filtered = origin_auth && not (passes_origin_validation strategy) in
+  let flat happy =
+    { strategy; filtered; happy_lb = happy; happy_ub = happy; sources = n - 2 }
+  in
   if filtered then begin
     (* The bogus announcement never enters route selection; sources see
-       normal conditions.  A source is happy iff it has a route to the
-       destination at all; the attacker's slot is excluded to keep
-       [sources] comparable across strategies. *)
-    let normal = Routing.Engine.compute g policy dep ~dst ~attacker:None in
-    let happy = ref 0 and sources = ref 0 in
-    for v = 0 to Topology.Graph.n g - 1 do
-      if v <> dst && v <> attacker then begin
-        incr sources;
-        if Routing.Outcome.reached normal v then incr happy
-      end
-    done;
-    {
-      strategy;
-      filtered = true;
-      happy_lb = !happy;
-      happy_ub = !happy;
-      sources = !sources;
-    }
+       normal conditions, read off one normal-conditions lane.  A source
+       is happy iff it has a route to the destination at all; each
+       attacker's slot is excluded to keep [sources] comparable across
+       strategies. *)
+    let b =
+      Routing.Batch.compute ?ws g policy dep ~dst
+        ~attackers:[| Routing.Batch.no_attacker |]
+    in
+    let reached = (Metric.H_metric.happy_batch b).(0).Metric.H_metric.happy_lb in
+    Array.map
+      (fun m ->
+        let own = Option.is_some (Routing.Batch.group_of b ~v:m ~lane:0) in
+        flat (reached - Bool.to_int own))
+      attackers
   end
   else
     match strategy with
@@ -86,34 +93,25 @@ let simulate ?(origin_auth = true) g policy dep ~attacker ~dst strategy =
         (* Longest-prefix forwarding: route selection for the covering
            prefix is irrelevant; any source with a perceivable route to
            the attacker sends the victim's traffic there. *)
-        let reach_m =
-          Routing.Reach.compute g ~root:attacker ~avoid:dst ()
+        Array.map
+          (fun attacker ->
+            let reach_m = Routing.Reach.compute g ~root:attacker ~avoid:dst () in
+            let reach_d = Routing.Reach.compute g ~root:dst ~avoid:attacker () in
+            let happy = ref 0 in
+            for v = 0 to n - 1 do
+              if
+                v <> dst && v <> attacker
+                && Routing.Reach.any reach_d v
+                && not (Routing.Reach.any reach_m v)
+              then incr happy
+            done;
+            flat !happy)
+          attackers
+    | Prefix_hijack | Fabricated_path _ ->
+        let attacker_claim =
+          match strategy with Fabricated_path k -> k | _ -> 0
         in
-        let reach_d = Routing.Reach.compute g ~root:dst ~avoid:attacker () in
-        let happy = ref 0 and sources = ref 0 in
-        for v = 0 to Topology.Graph.n g - 1 do
-          if v <> dst && v <> attacker then begin
-            incr sources;
-            if Routing.Reach.any reach_d v && not (Routing.Reach.any reach_m v)
-            then incr happy
-          end
-        done;
-        {
-          strategy;
-          filtered = false;
-          happy_lb = !happy;
-          happy_ub = !happy;
-          sources = !sources;
-        }
-    | Prefix_hijack ->
-        let out =
-          Routing.Engine.compute ~attacker_claim:0 g policy dep ~dst
-            ~attacker:(Some attacker)
-        in
-        of_counts strategy ~filtered:false (Metric.H_metric.happy out)
-    | Fabricated_path k ->
-        let out =
-          Routing.Engine.compute ~attacker_claim:k g policy dep ~dst
-            ~attacker:(Some attacker)
-        in
-        of_counts strategy ~filtered:false (Metric.H_metric.happy out)
+        Array.map (of_counts strategy ~filtered:false)
+          (Metric.H_metric.happy_batch
+             (Routing.Batch.compute ~attacker_claim ?ws g policy dep ~dst
+                ~attackers))

@@ -46,16 +46,26 @@ val happy_fraction : result -> float * float
 
 val simulate :
   ?origin_auth:bool ->
+  ?ws:Routing.Batch.Workspace.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Deployment.t ->
-  attacker:int ->
   dst:int ->
+  attackers:int array ->
   strategy ->
-  result
-(** [simulate g policy dep ~attacker ~dst strategy] counts happy sources
-    under the attack.  [origin_auth] (default [true], the paper's
-    setting) filters announcements that fail origin validation, turning
-    the hijacks into no-ops.  An unfiltered subprefix hijack bypasses
-    route selection entirely: a source stays happy only if it has no
-    perceivable route to the attacker at all. *)
+  result array
+(** [simulate g policy dep ~dst ~attackers strategy] counts happy
+    sources toward [dst] under the attack of each of [attackers]
+    (element [l] for [attackers.(l)]).  [origin_auth] (default [true],
+    the paper's setting) filters announcements that fail origin
+    validation, turning the hijacks into no-ops read off one
+    normal-conditions solve.  An unfiltered prefix hijack or fabricated
+    path is one batched solve ({!Routing.Batch}, served by [ws]) with
+    the strategy's claimed length.  An unfiltered subprefix hijack
+    bypasses route selection: a source stays happy only if it has no
+    perceivable route to the attacker at all.
+
+    Raises [Invalid_argument] for [Fabricated_path k] with [k < 1], an
+    id out of range, an attacker equal to [dst], or — for an unfiltered
+    prefix hijack or fabricated path — a lane count outside
+    [1 .. Routing.Batch.max_lanes]. *)

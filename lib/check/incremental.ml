@@ -86,7 +86,7 @@ let analyze ?pool ?(steps = 3) ~seed ~pairs g policies =
             prev := Some dep;
             ignore (M.h_metric ?pool ~cache:carry_cache g policy dep ps);
             let version = M.Cache.intern carry_cache g dep in
-            let ws = Routing.Engine.Workspace.local () in
+            let ws = Routing.Reference.Workspace.local () in
             let diverge what p (got : M.bounds) (want : M.bounds) =
               diags :=
                 !diags

@@ -118,7 +118,7 @@ let analyze ?(attacker_claim = 1) g policies dep pairs =
 
 module B = Routing.Batch
 
-(* The scalar side of a divergence report, in the packed word's
+(* The Reference side of a divergence report, in the packed word's
    vocabulary so both lanes read alike. *)
 let describe_scalar out v =
   if not (O.reached out v) then "unreached"
@@ -135,23 +135,34 @@ let describe_group b ~v ~lane =
         (E.Packed.describe word)
 
 (* Batched-divergence sub-pass: every lane of every batched solve is
-   decoded and compared field-by-field against a scalar Reference solve
-   of the same (attacker, destination) pair.  A divergence pinpoints the
-   first disagreeing AS by (destination, attacker-word, bit) and decodes
-   both packed lanes — the batch side straight from its lane group, the
-   scalar side from the reference outcome.
+   decoded and compared field-by-field against a Reference solve of the
+   same (attacker, destination) pair.  Each batch is solved twice: as
+   given, and as a mixed word whose lane 0 holds normal conditions
+   ({!Routing.Batch.no_attacker}) next to the attackers, that lane held
+   to a Reference solve with no attacker (odd word numbers).  A
+   divergence pinpoints the first disagreeing AS by (destination, word,
+   bit) and decodes both packed lanes — the batch side straight from
+   its lane group, the Reference side from its outcome.
 
    [tamper ~lane got] mutates the decoded outcome before comparison;
    the false-negative mutants use it to emulate batch-kernel bugs
-   (dropped tie flags, stale lanes) and prove this pass catches them. *)
+   (dropped tie flags, stale lanes, a rooted normal lane) and prove this
+   pass catches them. *)
 let analyze_batch ?(attacker_claim = 1) ?tamper g policies dep batches =
   let bws = B.Workspace.create 0 in
   let rws = R.Workspace.create 0 in
   let items = ref 0 in
   let diags = ref [] in
+  let words =
+    Array.to_list batches
+    |> List.concat_map (fun (dst, attackers) ->
+           let k = min (Array.length attackers) (B.max_lanes - 1) in
+           let mixed = Array.append [| B.no_attacker |] (Array.sub attackers 0 k) in
+           [ (dst, attackers); (dst, mixed) ])
+  in
   List.iter
     (fun policy ->
-      Array.iteri
+      List.iteri
         (fun word_idx (dst, attackers) ->
           List.iter
             (fun tiebreak ->
@@ -164,9 +175,10 @@ let analyze_batch ?(attacker_claim = 1) ?tamper g policies dep batches =
                   incr items;
                   let got = B.decode b ~lane in
                   (match tamper with Some f -> f ~lane got | None -> ());
+                  let attacker = if m = B.no_attacker then None else Some m in
                   let want =
                     R.compute ~tiebreak ~attacker_claim ~ws:rws g policy dep
-                      ~dst ~attacker:(Some m)
+                      ~dst ~attacker
                   in
                   match mismatch_at ~want ~got () with
                   | None -> ()
@@ -174,27 +186,30 @@ let analyze_batch ?(attacker_claim = 1) ?tamper g policies dep batches =
                       let lanes_detail =
                         if v < 0 then ""
                         else
-                          Printf.sprintf "; batch lane: %s; scalar: %s"
+                          Printf.sprintf "; batch lane: %s; reference: %s"
                             (describe_group b ~v ~lane)
                             (describe_scalar want v)
+                      in
+                      let who, subjects =
+                        match attacker with
+                        | None -> ("no attacker", [ dst ])
+                        | Some m -> (Printf.sprintf "attacker %d" m, [ dst; m ])
                       in
                       diags :=
                         !diags
                         @ [
-                            D.error ~rule:"kernel/batch-divergence"
-                              ~subjects:[ dst; m ]
+                            D.error ~rule:"kernel/batch-divergence" ~subjects
                               (Printf.sprintf
                                  "batched kernel diverges from the reference \
                                   kernel [%s, %s tiebreak, claim %d] at dst \
-                                  %d, attacker word %d, bit %d (attacker \
-                                  %d): %s%s"
+                                  %d, word %d, bit %d (%s): %s%s"
                                  (P.name policy) (tb_name tiebreak)
-                                 attacker_claim dst word_idx lane m detail
+                                 attacker_claim dst word_idx lane who detail
                                  lanes_detail);
                           ])
                 attackers)
-            [ E.Bounds; E.Lowest_next_hop ])
-        batches)
+            [ B.Bounds; B.Lowest_next_hop ])
+        words)
     policies;
   (!items, !diags)
 

@@ -1,11 +1,12 @@
-(** Differential gate for the packed CSR routing kernel.
+(** Differential gate for the batched routing kernel.
 
     Replays (destination, attacker) pairs through three independent
     implementations of route computation and demands bit-identical
     outcomes:
 
-    - {!Routing.Engine.compute} — the packed CSR production kernel,
-      exercised both with fresh buffers and with a reused workspace;
+    - {!Routing.Engine.compute} — the one-lane face of the batched
+      production kernel ({!Routing.Batch}), exercised both with fresh
+      buffers and with a reused workspace;
     - {!Routing.Reference.compute} — the pre-change kernel, preserved
       verbatim;
     - {!Routing.Staged.compute} — the Appendix-B executable
@@ -48,11 +49,14 @@ val analyze_batch :
   int * Diagnostic.t list
 (** [analyze_batch g policies dep batches] decodes every lane of every
     batched solve ({!Routing.Batch}) of the [(dst, attackers)] batches
-    and compares it field-by-field against a scalar
+    and compares it field-by-field against a
     {!Routing.Reference.compute} of the same pair, under every policy
-    and both tiebreaks.  A disagreement is a ["kernel/batch-divergence"]
-    error pinpointing the first divergent (destination, attacker-word,
-    bit) and decoding both packed lanes.  [items] counts compared lanes.
+    and both tiebreaks.  Each batch is also solved as a mixed word: a
+    {!Routing.Batch.no_attacker} lane 0 (held to a Reference solve with
+    no attacker) followed by up to 62 of its attackers.  A disagreement
+    is a ["kernel/batch-divergence"] error pinpointing the first
+    divergent (destination, word, bit) and decoding both packed lanes.
+    [items] counts compared lanes.
 
     [tamper ~lane outcome] mutates a decoded lane before comparison —
     the false-negative mutants inject batch-kernel bugs through it. *)

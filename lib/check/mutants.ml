@@ -266,6 +266,30 @@ let batch_stale_lane () =
   in
   diags
 
+let batch_normal_lane_rooted () =
+  (* The normal (no-attacker) lane of a mixed word decodes to the
+     routing tree of the word's first attacker — emulating a batch
+     kernel that roots a bogus announcement in the no-attacker lane.
+     Attacked lanes are left alone, so only the normal-lane comparison
+     can catch it. *)
+  let g =
+    G.of_edges ~n:5
+      [
+        G.Customer_provider (1, 0);
+        G.Customer_provider (2, 1);
+        G.Customer_provider (3, 2);
+        G.Customer_provider (4, 3);
+      ]
+  in
+  let dep = Deployment.empty 5 in
+  let tamper ~lane:_ got =
+    if O.attacker got = None then begin
+      let bogus = E.compute g sec3 dep ~dst:0 ~attacker:(Some 4) in
+      copy_fixed ~src:bogus ~into:got
+    end
+  in
+  snd (Kernel.analyze_batch ~tamper g [ sec3 ] dep [| (0, [| 4; 2 |]) |])
+
 (* ---- determinism mutant ------------------------------------------ *)
 
 let stale_workspace () =
@@ -466,6 +490,14 @@ let all =
       expected_rule = "kernel/batch-divergence";
       description = "every later lane decodes to lane 0's routing tree";
       run = batch_stale_lane;
+    };
+    {
+      name = "batch-normal-lane-rooted";
+      expected_rule = "kernel/batch-divergence";
+      description =
+        "the no-attacker lane of a mixed word decodes to the first \
+         attacker's routing tree, as if it carried a bogus root";
+      run = batch_normal_lane_rooted;
     };
     {
       name = "partition-unblocked-attacker";

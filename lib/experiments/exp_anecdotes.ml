@@ -82,6 +82,14 @@ let figure1 () =
   show "after the link recovers (wedged!)";
   Buffer.contents buf
 
+(* Collateral effects of one attacker toward AS 0: a one-attacker
+   phenomena word per deployment. *)
+let collateral g policy ~baseline dep ~attacker =
+  let word dep =
+    Metric.Phenomena.word g policy dep ~dst:0 ~attackers:[| attacker |]
+  in
+  (Metric.Phenomena.collateral ~baseline:(word baseline) (word dep)).(0)
+
 let figure14 () =
   let buf = Buffer.create 512 in
   (* Collateral damage mechanism under security 2nd; strictly-happy
@@ -109,10 +117,7 @@ let figure14 () =
     (Printf.sprintf
        "  after S*BGP:  ISP 2 prefers the longer secure %s; victim 6 happy: %b (collateral damage)\n"
        (path_str dep 2) (Routing.Outcome.happy_lb dep 6));
-  let col3 =
-    Metric.Phenomena.collateral g sec3 ~baseline:(Deployment.empty 10)
-      ~deployment:s ~attacker:9 ~dst:0
-  in
+  let col3 = collateral g sec3 ~baseline:(Deployment.empty 10) s ~attacker:9 in
   Buffer.add_string buf
     (Printf.sprintf
        "  same scenario under security 3rd: %d damages (Theorem 6.1)\n"
@@ -128,10 +133,7 @@ let figure15 () =
   Buffer.add_string buf
     "Figure 15 - collateral benefit under security 3rd\n\
      (0=dst Pandora, 1=AS3267, 3=attacker, 4=insecure customer AS34223)\n";
-  let col =
-    Metric.Phenomena.collateral g sec3 ~baseline:(Deployment.empty 5)
-      ~deployment:s ~attacker:3 ~dst:0
-  in
+  let col = collateral g sec3 ~baseline:(Deployment.empty 5) s ~attacker:3 in
   Buffer.add_string buf
     (Printf.sprintf
        "  AS3267 ties between two equal peer routes; securing breaks the tie toward the destination.\n\

@@ -13,7 +13,7 @@ let run_policy (ctx : Context.t) policy =
     Context.sample ctx "cpfate-att" ctx.non_stubs (Context.scaled ctx 30)
   in
   let n = Topology.Graph.n ctx.graph in
-  let pool = Context.pool ctx in
+  let empty = Deployment.empty n in
   let table =
     Prelude.Table.create
       ~header:
@@ -25,62 +25,45 @@ let run_policy (ctx : Context.t) policy =
           "kept, other";
         ]
   in
+  let ws = Routing.Batch.Workspace.local () in
   Array.iteri
     (fun cp_index dst ->
-      (* [normal] is shared read-only by every worker below, so it must
-         not live in any domain's reusable workspace. *)
-      let normal =
-        Routing.Engine.compute ctx.graph policy dep ~dst ~attacker:None
-      in
+      let pairs = Metric.H_metric.pairs ~attackers ~dsts:[| dst |] () in
       let secure_normal = ref 0 in
-      for v = 0 to n - 1 do
-        if v <> dst && Routing.Outcome.secure normal v then incr secure_normal
-      done;
-      let per_attacker =
-        Parallel.map ~pool
-          (fun attacker ->
-            if attacker = dst then (0, 0, 0, 0)
-            else begin
-              let ws = Routing.Engine.Workspace.local () in
-              (* [classes] is materialized into a fresh array, so it is
-                 safe to recycle [ws] for [attack] afterwards. *)
-              let classes =
-                Metric.Partition.compute ~ws ctx.graph policy ~attacker ~dst
-              in
-              let attack =
-                Routing.Engine.compute ~ws ctx.graph policy dep ~dst
-                  ~attacker:(Some attacker)
-              in
-              let downgraded = ref 0
-              and kept_immune = ref 0
-              and kept_other = ref 0 in
-              for v = 0 to n - 1 do
-                if v <> dst && v <> attacker && Routing.Outcome.secure normal v
-                then
-                  if not (Routing.Outcome.secure attack v) then incr downgraded
-                  else if classes.(v) = Metric.Partition.Immune then
-                    incr kept_immune
-                  else incr kept_other
-              done;
-              (1, !downgraded, !kept_immune, !kept_other)
-            end)
-          attackers
-      in
-      let samples, downgraded, kept_immune, kept_other =
-        Array.fold_left
-          (fun (s, d, ki, ko) (s', d', ki', ko') ->
-            (s + s', d + d', ki + ki', ko + ko'))
-          (0, 0, 0, 0) per_attacker
-      in
-      let sources = float_of_int ((n - 2) * samples) in
-      let frac x = float_of_int x /. sources in
+      let total = ref Metric.Phenomena.root_cause_zero in
+      Array.iter
+        (fun (dst, attackers, _) ->
+          (* Lane 0 of the deployment's word is normal conditions.  Under
+             security 3rd the baseline word's happy lanes (to-d and not
+             to-m at S = {}) are exactly the immune sources (Corollary
+             E.1), so a secure route that survives the attack is kept
+             by an immune source iff [root_cause] counts it as wasted. *)
+          let base =
+            Metric.Phenomena.word ~ws ctx.graph policy empty ~dst ~attackers
+          in
+          let w = Metric.Phenomena.word ~ws ctx.graph policy dep ~dst ~attackers in
+          secure_normal := Metric.Phenomena.secure_routes w;
+          total :=
+            Array.fold_left Metric.Phenomena.root_cause_add !total
+              (Metric.Phenomena.root_cause ~base w))
+        (match
+           Metric.H_metric.batch_plan ~lanes:Metric.Phenomena.max_attackers
+             pairs
+         with
+        | [||] ->
+            (* No attacker besides the CP itself: the normal lane alone
+               still reports its secure routes. *)
+            [| (dst, [||], [||]) |]
+        | plan -> plan);
+      let t = !total in
+      let frac x = float_of_int x /. float_of_int t.sources in
       Prelude.Table.add_row table
         [
           Printf.sprintf "CP%d (AS %d)" (cp_index + 1) dst;
           Util.pct (float_of_int !secure_normal /. float_of_int (n - 1));
-          Util.pct (frac downgraded);
-          Util.pct (frac kept_immune);
-          Util.pct (frac kept_other);
+          Util.pct (frac t.rc_downgraded);
+          Util.pct (frac t.rc_wasted);
+          Util.pct (frac t.rc_protecting);
         ])
     ctx.cps;
   table

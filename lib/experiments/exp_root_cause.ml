@@ -29,15 +29,30 @@ let run (ctx : Context.t) =
           "metric change";
         ]
   in
-  List.iter
-    (fun policy ->
-      let total =
-        Array.fold_left
-          (fun acc { Metric.H_metric.attacker; dst } ->
-            Metric.Phenomena.root_cause_add acc
-              (Metric.Phenomena.root_cause ctx.graph policy dep ~attacker ~dst))
-          Metric.Phenomena.root_cause_zero pairs
+  let n = Topology.Graph.n ctx.graph in
+  let totals =
+    List.map (fun _ -> ref Metric.Phenomena.root_cause_zero) Context.policies
+  in
+  let ws = Routing.Batch.Workspace.local () in
+  Array.iter
+    (fun (dst, attackers, _) ->
+      (* At S = {} nothing is signed, so one baseline word serves all
+         three models. *)
+      let base =
+        Metric.Phenomena.word ~ws ctx.graph Context.sec3 (Deployment.empty n)
+          ~dst ~attackers
       in
+      List.iter2
+        (fun policy total ->
+          let w = Metric.Phenomena.word ~ws ctx.graph policy dep ~dst ~attackers in
+          total :=
+            Array.fold_left Metric.Phenomena.root_cause_add !total
+              (Metric.Phenomena.root_cause ~base w))
+        Context.policies totals)
+    (Metric.H_metric.batch_plan ~lanes:Metric.Phenomena.max_attackers pairs);
+  List.iter2
+    (fun policy total ->
+      let total = !total in
       let f x = Prelude.Stats.fraction x total.Metric.Phenomena.sources in
       Prelude.Table.add_row table
         [
@@ -53,7 +68,7 @@ let run (ctx : Context.t) =
             *. (f total.Metric.Phenomena.rc_happy_dep
                -. f total.Metric.Phenomena.rc_happy_base));
         ])
-    Context.policies;
+    Context.policies totals;
   Util.header title paper
   ^ Printf.sprintf "S = all T1s, T2s and their stubs (%s); %d pairs\n"
       (Deployment.describe dep) (Array.length pairs)

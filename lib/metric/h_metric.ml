@@ -38,18 +38,6 @@ let happy outcome =
   done;
   { happy_lb = !lb; happy_ub = !ub; sources = !sources }
 
-let happy_among outcome set =
-  let lb = ref 0 and ub = ref 0 and sources = ref 0 in
-  Array.iter
-    (fun v ->
-      if is_source outcome v then begin
-        incr sources;
-        if Routing.Outcome.happy_lb outcome v then incr lb;
-        if Routing.Outcome.happy_ub outcome v then incr ub
-      end)
-    set;
-  { happy_lb = !lb; happy_ub = !ub; sources = !sources }
-
 let to_bounds c =
   {
     lb = Prelude.Stats.fraction c.happy_lb c.sources;
@@ -114,7 +102,7 @@ let pairs ?rng ?max_pairs ~attackers ~dsts () =
 
 let pair_bounds ?ws g policy dep { attacker; dst } =
   let outcome =
-    Routing.Engine.compute ?ws g policy dep ~dst ~attacker:(Some attacker)
+    Routing.Reference.compute ?ws g policy dep ~dst ~attacker:(Some attacker)
   in
   to_bounds (happy outcome)
 
@@ -130,27 +118,25 @@ let pair_bounds ?ws g policy dep { attacker; dst } =
    lane's own attacker in that lane; every other AS either has an
    ordinary group containing the lane or is unreached (unhappy either
    way).  The counts — and via [Stats.fraction] the float bounds — are
-   bit-identical to [pair_bounds], the scalar per-pair oracle. *)
-
-(* One work item: solve destination [bdst] for the attackers of the
-   pairs at [bpos] (positions into the caller's index array). *)
-type batch_item = { bdst : int; bpos : int array }
+   bit-identical to [pair_bounds], the per-pair oracle over the
+   independent {!Routing.Reference} kernel. *)
 
 (* Group the pair positions by destination (first-seen order, keyed
    lookups only — no Hashtbl iteration) and chunk each destination's
-   attacker list into full words. *)
-let batch_items pairs idxs =
+   attacker list into words. *)
+let batch_plan ?(lanes = Routing.Batch.max_lanes) pairs =
+  if lanes < 1 || lanes > Routing.Batch.max_lanes then
+    invalid_arg "H_metric.batch_plan: lanes outside 1..max_lanes";
   let by_dst = Hashtbl.create 64 in
   let order = ref [] in
   Array.iteri
-    (fun j i ->
-      let p = pairs.(i) in
+    (fun i p ->
       match Hashtbl.find_opt by_dst p.dst with
-      | Some l -> l := j :: !l
+      | Some l -> l := i :: !l
       | None ->
-          Hashtbl.add by_dst p.dst (ref [ j ]);
+          Hashtbl.add by_dst p.dst (ref [ i ]);
           order := p.dst :: !order)
-    idxs;
+    pairs;
   let items = ref [] in
   List.iter
     (fun dst ->
@@ -160,97 +146,71 @@ let batch_items pairs idxs =
         | None -> [||]
       in
       let total = Array.length slots in
-      let lanes = Routing.Batch.max_lanes in
       let k = ref 0 in
       while !k < total do
-        let len = min lanes (total - !k) in
-        items := { bdst = dst; bpos = Array.sub slots !k len } :: !items;
-        k := !k + len
+        let pos = Array.sub slots !k (min lanes (total - !k)) in
+        items := (dst, Array.map (fun i -> pairs.(i).attacker) pos, pos) :: !items;
+        k := !k + Array.length pos
       done)
     (List.rev !order);
   Array.of_list (List.rev !items)
 
-(* Public face of the grouping, for callers that batch their own
-   per-pair folds (partition counts, the divergence checker). *)
-let batch_plan pairs =
-  let idxs = Array.init (Array.length pairs) (fun i -> i) in
-  Array.map
-    (fun item ->
-      ( item.bdst,
-        Array.map (fun j -> pairs.(j).attacker) item.bpos,
-        Array.copy item.bpos ))
-    (batch_items pairs idxs)
-
-(* Per-domain lane counters of [batch_item_bounds]: block 0 tallies the
+(* Per-domain lane counters of [happy_batch]: block 0 tallies the
    upper bound (to-d), block 1 the lower bound (to-d and not to-m). *)
 let lane_counts = Domain.DLS.new_key Prelude.Lane_count.create
 
-(* Solve one item and fold the per-lane bounds off the groups. *)
-let batch_item_bounds ~ws g policy dep pairs idxs item =
-  let attackers =
-    Array.map (fun j -> pairs.(idxs.(j)).attacker) item.bpos
-  in
-  let b = Routing.Batch.compute ~ws g policy dep ~dst:item.bdst ~attackers in
-  let n = Topology.Graph.n g in
+let happy_batch b =
+  let n = Routing.Batch.n b in
   let c = Domain.DLS.get lane_counts in
   Prelude.Lane_count.reset c ~blocks:2 ~max:n;
   Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-      let open Routing.Engine.Packed in
+      let open Routing.Batch.Packed in
       if cls_code_of word <> 3 && to_d_of word then begin
         Prelude.Lane_count.add c 0 mask;
         if not (to_m_of word) then Prelude.Lane_count.add c 1 mask
       end);
-  let sources = n - 2 in
-  Array.init (Array.length attackers) (fun l ->
+  Array.init (Routing.Batch.lanes b) (fun l ->
       {
-        lb = Prelude.Stats.fraction (Prelude.Lane_count.count c 1 l) sources;
-        ub = Prelude.Stats.fraction (Prelude.Lane_count.count c 0 l) sources;
+        happy_lb = Prelude.Lane_count.count c 1 l;
+        happy_ub = Prelude.Lane_count.count c 0 l;
+        sources = (if Routing.Batch.attacker b ~lane:l < 0 then n - 1 else n - 2);
       })
 
-(* Evaluate [pairs.(idxs.(j))] for every [j], batched by destination.
-   Returns bounds aligned with [idxs].  [report] ticks from the caller
-   domain with the number of pairs each of its items covered. *)
+(* Evaluate [pairs.(idxs.(j))] for every [j], batched by destination,
+   with the per-lane bounds folded off the groups.  Returns bounds
+   aligned with [idxs].  [report] ticks from the caller domain with the
+   number of pairs each of its words covered. *)
 let batched_map ?report ?pool ?(domains = 1) g policy dep pairs idxs =
-  let items = batch_items pairs idxs in
+  let items = batch_plan (Array.map (fun i -> pairs.(i)) idxs) in
   let caller = (Domain.self () :> int) in
   let per_item =
     (* Items are few and coarse (one drain each): steal singly. *)
     Parallel.map ?pool ~domains ~chunk:1
-      (fun item ->
+      (fun (dst, attackers, pos) ->
         let out =
-          batch_item_bounds
-            ~ws:(Routing.Batch.Workspace.local ())
-            g policy dep pairs idxs item
+          Array.map to_bounds
+            (happy_batch
+               (Routing.Batch.compute
+                  ~ws:(Routing.Batch.Workspace.local ())
+                  g policy dep ~dst ~attackers))
         in
         (match report with
         | Some f when (Domain.self () :> int) = caller ->
-            f (Array.length item.bpos)
+            f (Array.length pos)
         | _ -> ());
         out)
       items
   in
   let out = Array.make (Array.length idxs) { lb = 0.; ub = 0. } in
   Array.iteri
-    (fun k item ->
-      Array.iteri (fun l j -> out.(j) <- per_item.(k).(l)) item.bpos)
+    (fun k (_, _, pos) ->
+      Array.iteri (fun l j -> out.(j) <- per_item.(k).(l)) pos)
     items;
   out
 
-(* Dense injective encoding of a policy for cache keys: the model index in
-   the low bits, the local-preference variant above. *)
 let lp_code (p : Routing.Policy.t) =
   let open Routing.Policy in
   match p.lp with Standard -> 0 | Lp_k k -> k
-
-let policy_code (p : Routing.Policy.t) =
-  let open Routing.Policy in
-  let midx =
-    match p.model with
-    | Security_first -> 0
-    | Security_second -> 1
-    | Security_third -> 2
-  in
-  (lp_code p * 4) + midx
 
 (* When the destination's origin is unsigned, no offer in the engine is
    ever secure: the attacker's announcement is plain BGP, and the
@@ -313,7 +273,7 @@ module Cache = struct
 
   let key policy g dep ~version { attacker; dst } =
     if Deployment.signs_origin dep dst then
-      { Sc.k1 = policy_code policy; k2 = version; k3 = attacker; k4 = dst }
+      { Sc.k1 = Routing.Policy.code policy; k2 = version; k3 = attacker; k4 = dst }
     else
       (* See [normalized_code]: the outcome for an unsigned destination is
          independent of the model and the deployment, so all such entries
@@ -493,19 +453,6 @@ module Evaluator = struct
       st = { computed = 0; carried = 0; cache_hits = 0; thm_skips = 0 };
     }
 
-  let mean pairs vals =
-    let total = Array.length pairs in
-    if total = 0 then { lb = 0.; ub = 0. }
-    else begin
-      let lb = ref 0. and ub = ref 0. in
-      Array.iter
-        (fun b ->
-          lb := !lb +. b.lb;
-          ub := !ub +. b.ub)
-        vals;
-      { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
-    end
-
   let eval t dep =
     let version = Cache.intern t.cache t.g dep in
     let n = Array.length t.pairs in
@@ -571,7 +518,7 @@ module Evaluator = struct
         cache_hits = t.st.cache_hits + !hits;
         thm_skips = t.st.thm_skips + !skips;
       };
-    mean t.pairs vals
+    mean vals
 
   let values t =
     match t.prev with

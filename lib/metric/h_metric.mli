@@ -34,9 +34,10 @@ val happy : Routing.Outcome.t -> counts
 (** Happy-source counts over all sources (every AS except the destination
     and the attacker). *)
 
-val happy_among : Routing.Outcome.t -> int array -> counts
-(** Restrict the sources to the given set (the destination and attacker
-    are skipped if present). *)
+val happy_batch : Routing.Batch.t -> counts array
+(** Happy-source counts of every lane of a batched solve, folded off
+    the lane groups: element [l] equals
+    [happy (Routing.Batch.decode b ~lane:l)]. *)
 
 val to_bounds : counts -> bounds
 
@@ -54,16 +55,17 @@ val pairs :
     [max_pairs] ([rng] required in that case). *)
 
 val pair_bounds :
-  ?ws:Routing.Engine.Workspace.t ->
+  ?ws:Routing.Reference.Workspace.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Deployment.t ->
   pair ->
   bounds
 (** Happy-source bounds of a single (attacker, destination) pair — one
-    scalar {!Routing.Engine} solve.  This is the per-pair quantity
+    {!Routing.Reference} solve.  This is the per-pair quantity
     {!h_metric} averages and the unit the incremental machinery caches;
-    the batched paths never call it, so it serves as their oracle in the
+    it runs on the independent oracle kernel, not on the batched one it
+    checks, so it serves as the batched paths' oracle in the
     incremental check and the metric tests. *)
 
 (** Concurrent memo cache of per-pair {!bounds}, keyed by
@@ -139,10 +141,13 @@ module Cache : sig
   val clear : t -> unit
 end
 
-val batch_plan : pair array -> (int * int array * int array) array
+val batch_plan :
+  ?lanes:int -> pair array -> (int * int array * int array) array
 (** Group pairs by destination (first-seen input order, deterministic)
     and chunk each destination's attacker list into words of at most
-    {!Routing.Batch.max_lanes} lanes.  Each item is
+    [lanes] (default {!Routing.Batch.max_lanes}) attackers — callers
+    that add a normal lane pass one fewer.  Raises [Invalid_argument]
+    unless [1 <= lanes <= Routing.Batch.max_lanes].  Each item is
     [(dst, attackers, positions)] where [positions] indexes the input
     array ([attackers.(l)] is [pairs.(positions.(l)).attacker]).
     Every input position appears in exactly one item. *)

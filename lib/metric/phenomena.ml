@@ -5,53 +5,6 @@ type downgrade = {
   sources : int;
 }
 
-let downgrade_zero =
-  { secure_normal = 0; downgraded = 0; secure_after = 0; sources = 0 }
-
-let downgrade_add a b =
-  {
-    secure_normal = a.secure_normal + b.secure_normal;
-    downgraded = a.downgraded + b.downgraded;
-    secure_after = a.secure_after + b.secure_after;
-    sources = a.sources + b.sources;
-  }
-
-(* The [int] annotation pins the comparisons to the immediate-int
-   primitives; unannotated this generalizes to ['a] and every call
-   dispatches through the polymorphic runtime. *)
-let is_source ~attacker ~dst (v : int) = v <> attacker && v <> dst
-
-let downgrades g policy dep ~attacker ~dst =
-  let normal = Routing.Engine.compute g policy dep ~dst ~attacker:None in
-  let attack =
-    Routing.Engine.compute g policy dep ~dst ~attacker:(Some attacker)
-  in
-  (* Sources whose normal route runs through the attacker lose it no
-     matter what; Theorem 3.1 (and its sec-1st guarantee) exempts them,
-     so they are not counted as protocol downgrades. *)
-  let through_attacker v =
-    Routing.Outcome.reached normal v
-    && List.mem attacker (Routing.Outcome.path normal v)
-  in
-  let acc = ref downgrade_zero in
-  for v = 0 to Topology.Graph.n g - 1 do
-    if is_source ~attacker ~dst v then begin
-      let a = !acc in
-      let secure_n =
-        Routing.Outcome.secure normal v && not (through_attacker v)
-      in
-      let secure_a = Routing.Outcome.secure attack v in
-      acc :=
-        {
-          sources = a.sources + 1;
-          secure_normal = (a.secure_normal + if secure_n then 1 else 0);
-          downgraded = (a.downgraded + if secure_n && not secure_a then 1 else 0);
-          secure_after = (a.secure_after + if secure_n && secure_a then 1 else 0);
-        }
-    end
-  done;
-  !acc
-
 type root_cause = {
   sources : int;
   rc_secure_normal : int;
@@ -90,70 +43,185 @@ let root_cause_add a b =
     rc_happy_dep = a.rc_happy_dep + b.rc_happy_dep;
   }
 
-let root_cause g policy dep ~attacker ~dst =
-  let n = Topology.Graph.n g in
-  let normal = Routing.Engine.compute g policy dep ~dst ~attacker:None in
-  let attack =
-    Routing.Engine.compute g policy dep ~dst ~attacker:(Some attacker)
-  in
-  let base =
-    Routing.Engine.compute g policy (Deployment.empty n) ~dst
-      ~attacker:(Some attacker)
-  in
-  let acc = ref root_cause_zero in
-  for v = 0 to n - 1 do
-    if is_source ~attacker ~dst v then begin
-      let a = !acc in
-      let secure_n = Routing.Outcome.secure normal v in
-      let secure_a = Routing.Outcome.secure attack v in
-      let happy_base = Routing.Outcome.happy_lb base v in
-      let unhappy_base = not happy_base in
-      let happy_dep = Routing.Outcome.happy_lb attack v in
-      let unhappy_dep = not happy_dep in
-      let insecure = not (Deployment.is_full dep v) in
-      let b x = if x then 1 else 0 in
-      acc :=
-        {
-          sources = a.sources + 1;
-          rc_secure_normal = a.rc_secure_normal + b secure_n;
-          rc_downgraded = a.rc_downgraded + b (secure_n && not secure_a);
-          rc_wasted = a.rc_wasted + b (secure_n && secure_a && happy_base);
-          rc_protecting =
-            a.rc_protecting + b (secure_n && secure_a && not happy_base);
-          rc_benefit = a.rc_benefit + b (insecure && unhappy_base && happy_dep);
-          rc_damage = a.rc_damage + b (insecure && happy_base && unhappy_dep);
-          rc_happy_base = a.rc_happy_base + b happy_base;
-          rc_happy_dep = a.rc_happy_dep + b happy_dep;
-        }
-    end
-  done;
-  !acc
-
 type collateral = { benefit : int; damage : int; insecure_sources : int }
 
-let collateral g policy ~baseline ~deployment ~attacker ~dst =
-  if not (Deployment.subset baseline deployment) then
-    invalid_arg "Phenomena.collateral: baseline not a subset of deployment";
-  let small =
-    Routing.Engine.compute g policy baseline ~dst ~attacker:(Some attacker)
+(* One destination word, frozen into per-AS lane masks.  Bit 0 is the
+   normal lane, bit [l + 1] attacker [l]; root groups (class 3) are
+   skipped, so the destination and each lane's own attacker carry no
+   bit — exactly the ASes that are not sources of that lane. *)
+type word = {
+  g_n : int;
+  w_dep : Deployment.t;
+  w_dst : int;
+  w_attackers : int array;
+  secure : int array; (* per AS: lanes whose route is secure *)
+  happy : int array; (* per AS: lanes whose route is happy (lower bound) *)
+  nparent : int array; (* per AS: normal lane's representative next hop *)
+  nlen : int array; (* per AS: normal lane's route length, -1 unreached *)
+}
+
+let max_attackers = Routing.Batch.max_lanes - 1
+
+let word ?ws g policy dep ~dst ~attackers =
+  let n = Topology.Graph.n g in
+  (* The batched kernel checks every other id; [no_attacker] would
+     silently make a second normal lane. *)
+  if Array.mem Routing.Batch.no_attacker attackers then
+    invalid_arg "Phenomena.word: attacker -1 out of range";
+  let b =
+    Routing.Batch.compute ?ws g policy dep ~dst
+      ~attackers:(Array.append [| Routing.Batch.no_attacker |] attackers)
   in
-  let large =
-    Routing.Engine.compute g policy deployment ~dst ~attacker:(Some attacker)
-  in
-  let acc = ref { benefit = 0; damage = 0; insecure_sources = 0 } in
-  for v = 0 to Topology.Graph.n g - 1 do
-    if is_source ~attacker ~dst v && not (Deployment.is_full deployment v) then begin
-      let a = !acc in
-      let happy_small = Routing.Outcome.happy_lb small v in
-      let unhappy_small = not happy_small in
-      let happy_large = Routing.Outcome.happy_lb large v in
-      let unhappy_large = not happy_large in
-      acc :=
-        {
-          insecure_sources = a.insecure_sources + 1;
-          benefit = (a.benefit + if unhappy_small && happy_large then 1 else 0);
-          damage = (a.damage + if happy_small && unhappy_large then 1 else 0);
-        }
+  let secure = Array.make n 0 and happy = Array.make n 0 in
+  let nparent = Array.make n (-1) and nlen = Array.make n (-1) in
+  Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent ->
+      let open Routing.Batch.Packed in
+      if cls_code_of word <> 3 then begin
+        if secure_of word then secure.(v) <- secure.(v) lor mask;
+        if to_d_of word && not (to_m_of word) then
+          happy.(v) <- happy.(v) lor mask;
+        if mask land 1 <> 0 then begin
+          nparent.(v) <- parent;
+          nlen.(v) <- len_of word
+        end
+      end);
+  {
+    g_n = n;
+    w_dep = dep;
+    w_dst = dst;
+    w_attackers = Array.copy attackers;
+    secure;
+    happy;
+    nparent;
+    nlen;
+  }
+
+let secure_routes w = Array.fold_left (fun c m -> c + (m land 1)) 0 w.secure
+
+(* The attacked lanes of a word, and per AS the lanes whose attacker it
+   is (a lane's attacker is not one of its sources). *)
+let attacked w =
+  let lanes = Array.length w.w_attackers + 1 in
+  (if lanes >= Routing.Batch.max_lanes then -1 else (1 lsl lanes) - 1)
+  land lnot 1
+
+let own w =
+  let own = Array.make w.g_n 0 in
+  Array.iteri (fun l m -> own.(m) <- own.(m) lor (1 lsl (l + 1))) w.w_attackers;
+  own
+
+(* Per AS, the attacked lanes whose attacker lies on the AS's normal
+   route (the AS itself included): a closure down the normal lane's
+   representative parents — the chain [Outcome.path] follows — in
+   order of normal route length, so every parent is done before its
+   children. *)
+let through w =
+  let t = own w in
+  let by_len = Array.make (Array.fold_left max 0 w.nlen + 1) [] in
+  Array.iteri (fun v l -> if l > 0 then by_len.(l) <- v :: by_len.(l)) w.nlen;
+  Array.iter (List.iter (fun v -> t.(v) <- t.(v) lor t.(w.nparent.(v)))) by_len;
+  t
+
+(* Per-domain lane counters of the folds below. *)
+let lane_counts = Domain.DLS.new_key Prelude.Lane_count.create
+
+let counter w ~blocks =
+  let c = Domain.DLS.get lane_counts in
+  Prelude.Lane_count.reset c ~blocks ~max:w.g_n;
+  c
+
+let same_lanes fn a b =
+  let aa = a.w_attackers and ba = b.w_attackers in
+  if
+    a.w_dst <> b.w_dst || a.g_n <> b.g_n
+    || Array.length aa <> Array.length ba
+    || not (Array.for_all2 Int.equal aa ba)
+  then invalid_arg (fn ^ ": words of different lanes")
+
+let downgrades w =
+  let through = through w in
+  let lanes = attacked w in
+  let c = counter w ~blocks:2 in
+  for v = 0 to w.g_n - 1 do
+    let sec = w.secure.(v) in
+    if v <> w.w_dst && sec land 1 <> 0 then begin
+      (* Sources whose normal route runs through the attacker lose it
+         no matter what; Theorem 3.1 (and its sec-1st guarantee)
+         exempts them, so they are not counted as protocol
+         downgrades. *)
+      let sn = lanes land lnot through.(v) in
+      Prelude.Lane_count.add c 0 sn;
+      Prelude.Lane_count.add c 1 (sn land sec)
     end
   done;
-  !acc
+  Array.init (Array.length w.w_attackers) (fun l ->
+      let secure_normal = Prelude.Lane_count.count c 0 (l + 1) in
+      let secure_after = Prelude.Lane_count.count c 1 (l + 1) in
+      {
+        secure_normal;
+        downgraded = secure_normal - secure_after;
+        secure_after;
+        sources = w.g_n - 2;
+      })
+
+let root_cause ~base w =
+  same_lanes "Phenomena.root_cause" base w;
+  let own = own w in
+  let lanes = attacked w in
+  let c = counter w ~blocks:8 in
+  let add blk m = Prelude.Lane_count.add c blk (m land lanes) in
+  for v = 0 to w.g_n - 1 do
+    if v <> w.w_dst then begin
+      let sn = if w.secure.(v) land 1 <> 0 then lnot own.(v) else 0 in
+      let sa = w.secure.(v) in
+      let hb = base.happy.(v) and hd = w.happy.(v) in
+      add 0 sn;
+      add 1 (sn land lnot sa);
+      add 2 (sn land sa land hb);
+      add 3 (sn land sa land lnot hb);
+      if not (Deployment.is_full w.w_dep v) then begin
+        add 4 (lnot hb land hd);
+        add 5 (hb land lnot hd)
+      end;
+      add 6 hb;
+      add 7 hd
+    end
+  done;
+  Array.init (Array.length w.w_attackers) (fun l ->
+      let k blk = Prelude.Lane_count.count c blk (l + 1) in
+      {
+        sources = w.g_n - 2;
+        rc_secure_normal = k 0;
+        rc_downgraded = k 1;
+        rc_wasted = k 2;
+        rc_protecting = k 3;
+        rc_benefit = k 4;
+        rc_damage = k 5;
+        rc_happy_base = k 6;
+        rc_happy_dep = k 7;
+      })
+
+let collateral ~baseline w =
+  same_lanes "Phenomena.collateral" baseline w;
+  if not (Deployment.subset baseline.w_dep w.w_dep) then
+    invalid_arg "Phenomena.collateral: baseline not a subset of deployment";
+  let lanes = attacked w in
+  let c = counter w ~blocks:2 in
+  let insecure = ref 0 in
+  for v = 0 to w.g_n - 1 do
+    if v <> w.w_dst && not (Deployment.is_full w.w_dep v) then begin
+      incr insecure;
+      let hs = baseline.happy.(v) and hl = w.happy.(v) in
+      Prelude.Lane_count.add c 0 (lnot hs land hl land lanes);
+      Prelude.Lane_count.add c 1 (hs land lnot hl land lanes)
+    end
+  done;
+  Array.mapi
+    (fun l m ->
+      {
+        benefit = Prelude.Lane_count.count c 0 (l + 1);
+        damage = Prelude.Lane_count.count c 1 (l + 1);
+        insecure_sources =
+          (!insecure - if Deployment.is_full w.w_dep m then 0 else 1);
+      })
+    w.w_attackers

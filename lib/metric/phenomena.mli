@@ -5,7 +5,42 @@
     semantics of Section 4.1: an AS facing equally-good legitimate and
     bogus routes counts as unhappy.  This matches the paper's Section 6
     examples (e.g. Figure 15's collateral benefit arises from a tiebreak)
-    and its "lower bound on collateral benefits" framing. *)
+    and its "lower bound on collateral benefits" framing.
+
+    Every quantity is folded per attacker lane off a {!word}: one
+    batched solve ({!Routing.Batch}) of a destination, normal conditions
+    and up to {!max_attackers} attackers at once, frozen into per-AS
+    lane masks that outlive the workspace.  Each per-lane result equals
+    the per-pair definition over separate normal and attacked solves,
+    which test/helpers keeps as the qcheck suite's oracle. *)
+
+type word
+(** One destination under one policy and deployment: lane 0 under
+    normal conditions, lane [l + 1] under attacker [l]. *)
+
+val max_attackers : int
+(** Attackers per word: [Routing.Batch.max_lanes - 1] = 62, one lane
+    being the normal one. *)
+
+val word :
+  ?ws:Routing.Batch.Workspace.t ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  Deployment.t ->
+  dst:int ->
+  attackers:int array ->
+  word
+(** [word g policy dep ~dst ~attackers] runs one batched solve holding
+    the normal lane and every attacker and keeps, per AS and lane,
+    whether the route is secure and whether it is happy (lower bound),
+    plus the normal lane's routing tree.  [ws] serves the solve.
+    With no attackers the word holds the normal lane alone.  Raises
+    [Invalid_argument] if there are more than {!max_attackers}
+    attackers, an id is out of range or an attacker equals [dst]. *)
+
+val secure_routes : word -> int
+(** ASes other than the destination holding a secure route under
+    normal conditions. *)
 
 type downgrade = {
   secure_normal : int;  (** sources with a secure route under normal conditions *)
@@ -14,20 +49,13 @@ type downgrade = {
   sources : int;
 }
 
-val downgrades :
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  Deployment.t ->
-  attacker:int ->
-  dst:int ->
-  downgrade
-(** Compare the normal-conditions run with the attack run (Appendix F.1).
-    Sources whose normal (representative) route already passes through the
-    attacker are excluded from [secure_normal] — Theorem 3.1 exempts them,
-    since the attacker attracts their traffic without attacking. *)
+val downgrades : word -> downgrade array
+(** Per attacker of the word, compare the normal lane with the attack
+    lane (Appendix F.1).  Sources whose normal (representative) route
+    already passes through the attacker are excluded from
+    [secure_normal] — Theorem 3.1 exempts them, since the attacker
+    attracts their traffic without attacking. *)
 
-val downgrade_zero : downgrade
-val downgrade_add : downgrade -> downgrade -> downgrade
 
 type root_cause = {
   sources : int;
@@ -46,30 +74,22 @@ type root_cause = {
   rc_happy_dep : int;       (** happy sources, deployment S *)
 }
 
-val root_cause :
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  Deployment.t ->
-  attacker:int ->
-  dst:int ->
-  root_cause
-(** Requires three runs: normal conditions with S, attack with S, attack
-    with S = {}. *)
+val root_cause : base:word -> word -> root_cause array
+(** Per attacker: normal conditions and attack under the word's S, and
+    the attack under S = {} read off [base], a word of the same
+    destination and attackers solved with the empty deployment.  At
+    S = {} nothing is signed, so a [base] solved under any model of the
+    same local-preference variant serves.  Raises [Invalid_argument]
+    if the two words do not hold the same lanes. *)
 
 val root_cause_zero : root_cause
 val root_cause_add : root_cause -> root_cause -> root_cause
 
 type collateral = { benefit : int; damage : int; insecure_sources : int }
 
-val collateral :
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  baseline:Deployment.t ->
-  deployment:Deployment.t ->
-  attacker:int ->
-  dst:int ->
-  collateral
-(** Collateral effects on sources that are insecure in [deployment],
-    comparing against the smaller [baseline] deployment (Section 6.1
-    considers [baseline = empty]).  Raises [Invalid_argument] unless
-    [baseline] is a subset of [deployment]. *)
+val collateral : baseline:word -> word -> collateral array
+(** Per attacker: collateral effects on sources that are insecure in
+    the word's deployment, comparing against [baseline], a word of the
+    same lanes under a smaller deployment (Section 6.1 considers the
+    empty one).  Raises [Invalid_argument] unless the words hold the
+    same lanes and [baseline]'s deployment is a subset of the word's. *)

@@ -1,81 +1,29 @@
-(** Stable-state computation for routing with partially deployed S*BGP in
-    the presence of the "m d" attack of Section 3.1.
+(** Stable-state computation for one attacker, or none: the one-lane
+    face of the batched kernel {!Batch}.
 
-    This is the generalized form of the multi-stage BFS of Appendix B:
-    a label-setting (Dijkstra-style) computation over the dense preference
-    ranks of {!Policy.rank}.  Correctness rests on the ranks being strictly
-    monotone along route extensions — extending a fixed route by one hop
-    always yields a strictly worse rank, for every model and LP variant —
-    so fixing ASes in rank order reproduces exactly the stable state that
-    the staged algorithm (and, by the paper's Lemmas B.2-B.15, the S*BGP
-    convergence process) arrives at.  The agreement with the literal
-    staged algorithm ({!Staged}) and with the dynamic message-passing
-    simulator is property-tested.
+    [compute] solves a one-lane {!Batch} word — the attacker's lane, or
+    a {!Batch.no_attacker} lane for normal conditions — and decodes it
+    into a full {!Outcome.t}.  It is the convenient entry point for
+    callers that want one routing state with every per-AS field:
+    anecdotes, the route verifier, the optimizer's specification, the
+    mutants and the tests.  Experiments that sweep many attackers of
+    one destination solve whole {!Batch} words instead and fold the
+    lane groups directly.
 
-    Export policy (Ex): an AS announces a customer route to everyone and
-    any other route to its customers only.  The destination announces its
-    own prefix to everyone; the attacker announces the bogus route "m d"
-    to all its neighbors via legacy BGP. *)
+    The policy semantics (rank order, export policy, roots) are those
+    of {!Batch}; {!Reference} and {!Staged} are the independent oracles
+    every lane is held to. *)
 
-type tiebreak =
-  | Bounds
-      (** Leave TB unresolved: track every equally-best route's endpoint,
-          yielding the lower/upper happiness bounds of Section 4.1. *)
-  | Lowest_next_hop
-      (** Deterministic TB: among equally-best routes keep the one whose
-          next hop has the smallest AS number.  Used for cross-validation
-          with the dynamic simulator. *)
+type tiebreak = Batch.tiebreak = Bounds | Lowest_next_hop
 
-module Packed : sig
-  (** The packed candidate-word layout shared by this kernel and the
-      batched kernel ({!Batch}), LSB-first:
-
-      {v
-        bit  0      to_m   — some equally-best route leads to the attacker
-        bit  1      to_d   — some equally-best route leads to the destination
-        bit  2      secure — the route is fully signed and validated
-        bits 3-4    cls    — 0 customer / 1 peer / 2 provider / 3 root
-        bits 5-28   len    — perceived path length (max_len = n + 1 < 2^24)
-        bits 29-62  rank   — Policy.rank of (cls, len, secure)
-      v}
-
-      The rank is injective on (cls, len, secure), so equal ranks imply
-      equal decoded fields — the property that lets the batched kernel
-      share one word across a whole lane group. *)
-
-  val to_m_flag : int
-  val to_d_flag : int
-  val secure_flag : int
-  val cls_shift : int
-  val len_shift : int
-  val len_mask : int
-  val rank_shift : int
-
-  val pack :
-    rank:int -> cls_code:int -> len:int -> secure:bool -> flags:int -> int
-  (** [flags] is a pre-or'd subset of [to_m_flag lor to_d_flag]. *)
-
-  val rank_of : int -> int
-  val len_of : int -> int
-  val cls_code_of : int -> int
-  val secure_of : int -> bool
-  val to_d_of : int -> bool
-  val to_m_of : int -> bool
-
-  val describe : int -> string
-  (** All decoded fields of a packed word, for divergence diagnostics. *)
-end
+module Packed = Batch.Packed
+(** The packed candidate-word layout, re-exported from {!Batch}. *)
 
 module Workspace : sig
-  (** Reusable scratch buffers for {!compute}.
-
-      One stable-state computation needs ~7 size-n candidate arrays, a
-      bucket queue sized by the policy's rank bound, and the outcome
-      record itself.  The experiment suite runs thousands of independent
-      computations over the same graph, so allocating these per call
-      dominates the small-instance runtime.  A workspace owns all of them
-      and revalidates the candidate arrays with an epoch stamp (O(1) per
-      reuse) instead of re-filling.
+  (** Reusable scratch buffers for {!compute}: a {!Batch.Workspace.t}
+      (one-lane group slabs, epoch-stamped per-AS state, the bucket
+      queue) plus the outcome record each solve is decoded into.
+      Allocating these per call would dominate small-instance runtime.
 
       A workspace is {e not} thread-safe: use one per domain.  {!local}
       returns the calling domain's private workspace, which is what pool
@@ -105,13 +53,8 @@ val compute :
   Outcome.t
 (** [compute g policy dep ~dst ~attacker] returns the stable routing
     state toward [dst].  [attacker = None] computes normal conditions.
-    Default tiebreak is [Bounds].
-
-    [attacker_claim] is the length of the bogus path the attacker claims
-    (default 1 — the paper's "m d" announcement).  [0] models an
-    unauthorized origination of the victim's prefix (a classic prefix
-    hijack, only meaningful when origin authentication is absent); larger
-    values model longer fabricated paths "m x .. d".
+    [tiebreak] (default [Bounds]) and [attacker_claim] (default 1, the
+    paper's "m d") are those of {!Batch.compute}.
 
     [ws] reuses the given workspace's buffers instead of allocating.
     The returned outcome is then owned by the workspace: it stays valid

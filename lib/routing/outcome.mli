@@ -108,8 +108,3 @@ val fix_code :
     skips a decode/re-encode round trip per fixed AS.  The code is not
     validated. *)
 
-val lengths : t -> int array
-(** The raw per-AS length array backing {!length} ([-1] = unreached);
-    may be longer than {!n} after a {!reset}.  Exposed for the engine's
-    inner loop, which tests fixedness with [unsafe_get] — owned by the
-    outcome, never mutate or retain it elsewhere. *)

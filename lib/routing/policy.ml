@@ -24,6 +24,16 @@ let name t =
   | Standard -> model_name t.model
   | Lp_k _ -> Printf.sprintf "%s/%s" (model_name t.model) (lp_name t.lp)
 
+let code t =
+  let lp = match t.lp with Standard -> 0 | Lp_k k -> k in
+  let model =
+    match t.model with
+    | Security_first -> 0
+    | Security_second -> 1
+    | Security_third -> 2
+  in
+  (lp * 4) + model
+
 type route_class = Customer | Peer | Provider
 
 let class_name = function

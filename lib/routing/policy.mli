@@ -30,6 +30,12 @@ val make : ?lp:lp -> model -> t
 val all_models : model list
 val model_name : model -> string
 val lp_name : lp -> string
+
+val code : t -> int
+(** A dense injective code of (model, LP variant): the model index
+    (0-2) plus 4 × k for [Lp_k k], 0 for the standard LP.  Keys the
+    metric cache and the batch kernel's rank-table reuse. *)
+
 val name : t -> string
 
 type route_class = Customer | Peer | Provider

@@ -6,7 +6,7 @@
    the kernel microbenchmark's identity gate.  Do not optimize this
    file; its slowness is the point of the before/after comparison. *)
 
-type tiebreak = Engine.tiebreak = Bounds | Lowest_next_hop
+type tiebreak = Batch.tiebreak = Bounds | Lowest_next_hop
 
 (* Candidate bookkeeping for not-yet-fixed ASes.  Because the rank encodes
    (class, length, security) completely, all candidates of equal rank at an

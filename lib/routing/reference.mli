@@ -11,7 +11,7 @@
     throughput delta between the two, which is the whole point of
     keeping the slow version around.  Do not optimize it. *)
 
-type tiebreak = Engine.tiebreak = Bounds | Lowest_next_hop
+type tiebreak = Batch.tiebreak = Bounds | Lowest_next_hop
 
 module Workspace : sig
   (** Reusable scratch buffers in the {e old} layout.  Independent of

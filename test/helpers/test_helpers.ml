@@ -117,3 +117,154 @@ let check_none what = function
   | Some msg ->
       Printf.eprintf "%s: %s\n%!" what msg;
       false
+
+(* Random hierarchy of [min_n .. max_n] ASes (same construction as
+   [random_graph]), for the lane-by-lane identity properties that need
+   room for a wide attacker word. *)
+let random_hierarchy rng ~min_n ~max_n =
+  let rec go () =
+    let g = random_graph rng ~max_n in
+    if G.n g >= min_n then g else go ()
+  in
+  go ()
+
+(* [k] distinct attackers other than [dst], in random order. *)
+let random_attackers rng ~n ~dst k =
+  let pool = Array.of_list (List.filter (fun v -> v <> dst) (List.init n Fun.id)) in
+  let k = min k (Array.length pool) in
+  Array.map (fun i -> pool.(i)) (Core.Rng.sample_without_replacement rng k (Array.length pool))
+
+(* Per-pair oracles of the batched phenomena and attack folds: the
+   one-attacker definitions, over separate normal and attacked
+   {!Core.Reference} solves.  The batched folds must equal them lane by
+   lane. *)
+module Oracle = struct
+  module O = Core.Outcome
+  module Ph = Core.Phenomena
+
+  let solve ?attacker_claim g policy dep ~dst ~attacker =
+    Core.Reference.compute ?attacker_claim g policy dep ~dst ~attacker
+
+  let is_source ~attacker ~dst v = v <> attacker && v <> dst
+  let b x = if x then 1 else 0
+
+  let downgrades g policy dep ~attacker ~dst : Ph.downgrade =
+    let normal = solve g policy dep ~dst ~attacker:None in
+    let attack = solve g policy dep ~dst ~attacker:(Some attacker) in
+    (* Theorem 3.1 exempts sources whose normal route runs through the
+       attacker. *)
+    let through v = O.reached normal v && List.mem attacker (O.path normal v) in
+    let secure_normal = ref 0 and downgraded = ref 0 and after = ref 0 in
+    for v = 0 to O.n normal - 1 do
+      if is_source ~attacker ~dst v then begin
+        let sn = O.secure normal v && not (through v) in
+        let sa = O.secure attack v in
+        secure_normal := !secure_normal + b sn;
+        downgraded := !downgraded + b (sn && not sa);
+        after := !after + b (sn && sa)
+      end
+    done;
+    {
+      Ph.secure_normal = !secure_normal;
+      downgraded = !downgraded;
+      secure_after = !after;
+      sources = O.n normal - 2;
+    }
+
+  let root_cause g policy dep ~attacker ~dst : Ph.root_cause =
+    let n = G.n g in
+    let normal = solve g policy dep ~dst ~attacker:None in
+    let attack = solve g policy dep ~dst ~attacker:(Some attacker) in
+    let base =
+      solve g policy (Core.Deployment.empty n) ~dst ~attacker:(Some attacker)
+    in
+    let acc = ref Ph.root_cause_zero in
+    for v = 0 to n - 1 do
+      if is_source ~attacker ~dst v then begin
+        let sn = O.secure normal v and sa = O.secure attack v in
+        let hb = O.happy_lb base v and hd = O.happy_lb attack v in
+        let insecure = not (Core.Deployment.is_full dep v) in
+        acc :=
+          Ph.root_cause_add !acc
+            {
+              Ph.sources = 1;
+              rc_secure_normal = b sn;
+              rc_downgraded = b (sn && not sa);
+              rc_wasted = b (sn && sa && hb);
+              rc_protecting = b (sn && sa && not hb);
+              rc_benefit = b (insecure && (not hb) && hd);
+              rc_damage = b (insecure && hb && not hd);
+              rc_happy_base = b hb;
+              rc_happy_dep = b hd;
+            }
+      end
+    done;
+    !acc
+
+  let collateral g policy ~baseline ~deployment ~attacker ~dst : Ph.collateral
+      =
+    let small = solve g policy baseline ~dst ~attacker:(Some attacker) in
+    let large = solve g policy deployment ~dst ~attacker:(Some attacker) in
+    let benefit = ref 0 and damage = ref 0 and insecure = ref 0 in
+    for v = 0 to G.n g - 1 do
+      if
+        is_source ~attacker ~dst v
+        && not (Core.Deployment.is_full deployment v)
+      then begin
+        incr insecure;
+        let hs = O.happy_lb small v and hl = O.happy_lb large v in
+        benefit := !benefit + b ((not hs) && hl);
+        damage := !damage + b (hs && not hl)
+      end
+    done;
+    { Ph.benefit = !benefit; damage = !damage; insecure_sources = !insecure }
+
+  let simulate ?(origin_auth = true) g policy dep ~attacker ~dst strategy :
+      Core.Attacks.result =
+    let n = G.n g in
+    let filtered =
+      origin_auth && not (Core.Attacks.passes_origin_validation strategy)
+    in
+    let count f =
+      let c = ref 0 in
+      for v = 0 to n - 1 do
+        if is_source ~attacker ~dst v && f v then incr c
+      done;
+      !c
+    in
+    let flat happy =
+      {
+        Core.Attacks.strategy;
+        filtered;
+        happy_lb = happy;
+        happy_ub = happy;
+        sources = n - 2;
+      }
+    in
+    if filtered then
+      let normal = solve g policy dep ~dst ~attacker:None in
+      flat (count (O.reached normal))
+    else
+      match strategy with
+      | Core.Attacks.Subprefix_hijack ->
+          let reach_m = Core.Reach.compute g ~root:attacker ~avoid:dst () in
+          let reach_d = Core.Reach.compute g ~root:dst ~avoid:attacker () in
+          flat
+            (count (fun v ->
+                 Core.Reach.any reach_d v && not (Core.Reach.any reach_m v)))
+      | Core.Attacks.Prefix_hijack | Core.Attacks.Fabricated_path _ ->
+          let attacker_claim =
+            match strategy with Core.Attacks.Fabricated_path k -> k | _ -> 0
+          in
+          let out =
+            solve ~attacker_claim g policy dep ~dst ~attacker:(Some attacker)
+          in
+          let c = Core.Metric.happy out in
+          {
+            Core.Attacks.strategy;
+            filtered = false;
+            happy_lb = c.Core.Metric.happy_lb;
+            happy_ub = c.Core.Metric.happy_ub;
+            sources = c.Core.Metric.sources;
+          }
+end

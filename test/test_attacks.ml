@@ -9,8 +9,13 @@ let sec3 = Policy.make Policy.Security_third
 let g = lazy (graph 5 [ c2p 0 1; c2p 1 2; c2p 3 2; c2p 4 3 ])
 let empty = Deployment.empty 5
 
+(* The batched simulation for one attacker. *)
+let simulate1 ?origin_auth g policy dep ~attacker ~dst strategy =
+  (Attacks.simulate ?origin_auth g policy dep ~dst ~attackers:[| attacker |]
+     strategy).(0)
+
 let simulate ?origin_auth strategy =
-  Attacks.simulate ?origin_auth (Lazy.force g) sec3 empty ~attacker:3 ~dst:0
+  simulate1 ?origin_auth (Lazy.force g) sec3 empty ~attacker:3 ~dst:0
     strategy
 
 let test_origin_validation_gate () =
@@ -73,7 +78,7 @@ let test_shorter_claims_stronger =
       if dst = m then true
       else begin
         let happy k =
-          (Attacks.simulate g policy dep ~attacker:m ~dst
+          (simulate1 g policy dep ~attacker:m ~dst
              (Attacks.Fabricated_path k))
             .Attacks.happy_lb
         in
@@ -93,12 +98,50 @@ let test_hijack_at_least_as_strong =
       if dst = m then true
       else begin
         let happy s =
-          (Attacks.simulate ~origin_auth:false g sec3 (Deployment.empty n)
+          (simulate1 ~origin_auth:false g sec3 (Deployment.empty n)
              ~attacker:m ~dst s)
             .Attacks.happy_lb
         in
         happy Attacks.Prefix_hijack <= happy (Attacks.Fabricated_path 1)
       end)
+
+(* Every strategy, with and without origin authentication, on a word of
+   40-63 attackers: each lane equals the per-pair oracle. *)
+let test_batched_equals_oracle =
+  qtest "batched simulate = per-pair oracle, lane by lane" ~count:20
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_hierarchy rng ~min_n:80 ~max_n:120 in
+      let n = Graph.n g in
+      let dep = random_deployment rng n in
+      let policy = random_policy rng in
+      let dst = Rng.int rng n in
+      let attackers = random_attackers rng ~n ~dst (40 + Rng.int rng 24) in
+      List.for_all
+        (fun (origin_auth, strategy) ->
+          let got =
+            Attacks.simulate ~origin_auth g policy dep ~dst ~attackers strategy
+          in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun l attacker ->
+                 got.(l)
+                 = Oracle.simulate ~origin_auth g policy dep ~attacker ~dst
+                     strategy
+                 || check_none "simulate"
+                      (Some
+                         (Printf.sprintf "%s, origin auth %b, lane %d"
+                            (Attacks.strategy_name strategy) origin_auth l)))
+               attackers))
+        (List.concat_map
+           (fun s -> [ (false, s); (true, s) ])
+           Attacks.
+             [
+               Prefix_hijack;
+               Subprefix_hijack;
+               Fabricated_path 1;
+               Fabricated_path 3;
+             ]))
 
 let test_strategy_names () =
   Alcotest.(check string) "md name" "fabricated path \"m d\""
@@ -124,5 +167,9 @@ let () =
           Alcotest.test_case "names" `Quick test_strategy_names;
         ] );
       ( "properties",
-        [ test_shorter_claims_stronger; test_hijack_at_least_as_strong ] );
+        [
+          test_shorter_claims_stronger;
+          test_hijack_at_least_as_strong;
+          test_batched_equals_oracle;
+        ] );
     ]

@@ -164,15 +164,21 @@ let test_no_attacker =
         standard_models)
 
 (* Destination-major batched kernel: decoding each lane of one batched
-   solve must be bit-identical to a scalar Engine.compute against that
-   lane's attacker — random policies (Lp_k included), both tiebreaks,
-   random claims, duplicate attackers allowed (two lanes may share an
-   attacker and must still decode independently). *)
+   solve must be bit-identical to a Reference.compute against that
+   lane's attacker, or None for a no_attacker lane — random policies
+   (Lp_k included), both tiebreaks, random claims, duplicate attackers
+   and normal lanes allowed (lanes that share an attacker, or hold no
+   attacker, must still decode independently). *)
 let random_attackers rng ~n ~dst =
   let lanes = 1 + Rng.int rng (min Batch.max_lanes (2 * (n - 1))) in
   Array.init lanes (fun _ ->
-      let m = Rng.int rng (n - 1) in
-      if m >= dst then m + 1 else m)
+      if Rng.int rng 5 = 0 then Batch.no_attacker
+      else
+        let m = Rng.int rng (n - 1) in
+        if m >= dst then m + 1 else m)
+
+(* A lane's attacker as the per-pair kernels take it. *)
+let lane_attacker m = if m = Batch.no_attacker then None else Some m
 
 let test_batch_vs_engine =
   qtest "batched kernel = scalar engine per lane" ~count:300 (fun seed ->
@@ -195,8 +201,8 @@ let test_batch_vs_engine =
       Array.iteri
         (fun lane m ->
           let want =
-            Engine.compute ~tiebreak ~attacker_claim:claim g policy dep ~dst
-              ~attacker:(Some m)
+            Reference.compute ~tiebreak ~attacker_claim:claim g policy dep
+              ~dst ~attacker:(lane_attacker m)
           in
           let got = Batch.decode b ~lane in
           if
@@ -226,7 +232,9 @@ let test_batch_vs_staged =
           let ok = ref true in
           Array.iteri
             (fun lane m ->
-              let want = Staged.compute g policy dep ~dst ~attacker:(Some m) in
+              let want =
+                Staged.compute g policy dep ~dst ~attacker:(lane_attacker m)
+              in
               let got = Batch.decode b ~lane in
               if
                 not
@@ -261,8 +269,8 @@ let test_batch_workspace_reuse =
             stale := Some b;
             let lane = Rng.int rng (Array.length attackers) in
             let want =
-              Engine.compute g policy dep ~dst
-                ~attacker:(Some attackers.(lane))
+              Reference.compute g policy dep ~dst
+                ~attacker:(lane_attacker attackers.(lane))
             in
             let got = Batch.decode ~into b ~lane in
             check_none "reused ws + into" (outcome_mismatch want got))
@@ -296,7 +304,19 @@ let test_batch_validation () =
       ignore (Batch.compute g sec3 dep ~dst:0 ~attackers:[| 1; 0 |]));
   Alcotest.check_raises "no lanes"
     (Invalid_argument "Batch.compute: lane count 0 outside 1..63") (fun () ->
-      ignore (Batch.compute g sec3 dep ~dst:0 ~attackers:[||]))
+      ignore (Batch.compute g sec3 dep ~dst:0 ~attackers:[||]));
+  Alcotest.check_raises "negative id other than no_attacker"
+    (Invalid_argument "Batch.compute: attacker -2 out of range") (fun () ->
+      ignore (Batch.compute g sec3 dep ~dst:0 ~attackers:[| -2 |]));
+  let b =
+    Batch.compute g sec3 dep ~dst:0 ~attackers:[| Batch.no_attacker; 1 |]
+  in
+  Alcotest.(check (option int))
+    "normal lane decodes without an attacker" None
+    (Outcome.attacker (Batch.decode b ~lane:0));
+  Alcotest.(check (option int))
+    "attacked lane keeps its attacker" (Some 1)
+    (Outcome.attacker (Batch.decode b ~lane:1))
 
 (* The CSR view itself: segments match the per-class adjacency arrays on
    random graphs. *)

@@ -8,20 +8,37 @@ let sec1 = Policy.make Policy.Security_first
 let sec2 = Policy.make Policy.Security_second
 let sec3 = Policy.make Policy.Security_third
 
+(* The batched folds for one attacker: a one-attacker word per
+   deployment. *)
+let word g policy dep ~attacker ~dst =
+  Phenomena.word g policy dep ~dst ~attackers:[| attacker |]
+
+let downgrades g policy dep ~attacker ~dst =
+  (Phenomena.downgrades (word g policy dep ~attacker ~dst)).(0)
+
+let collateral g policy ~baseline ~deployment ~attacker ~dst =
+  (Phenomena.collateral
+     ~baseline:(word g policy baseline ~attacker ~dst)
+     (word g policy deployment ~attacker ~dst)).(0)
+
+let root_cause g policy dep ~attacker ~dst =
+  let base = word g policy (Deployment.empty (Graph.n g)) ~attacker ~dst in
+  (Phenomena.root_cause ~base (word g policy dep ~attacker ~dst)).(0)
+
 (* Figure 2 downgrade quantified. *)
 let test_downgrade_fig2 () =
   let g =
     graph 6 [ c2p 1 0; p2p 1 2; p2p 2 0; c2p 3 2; c2p 4 3; c2p 5 0 ]
   in
   let dep = Deployment.make ~n:6 ~full:[| 0; 1; 5 |] () in
-  let dg2 = Phenomena.downgrades g sec2 dep ~attacker:4 ~dst:0 in
+  let dg2 = downgrades g sec2 dep ~attacker:4 ~dst:0 in
   (* Under normal conditions ASes 1 and 5 have secure routes. *)
   Alcotest.(check int) "secure normal" 2 dg2.Phenomena.secure_normal;
   (* Under attack, AS 1 downgrades (peer LP beats secure provider); the
      stub 5 keeps its secure route. *)
   Alcotest.(check int) "downgraded (sec2)" 1 dg2.Phenomena.downgraded;
   Alcotest.(check int) "secure after (sec2)" 1 dg2.Phenomena.secure_after;
-  let dg1 = Phenomena.downgrades g sec1 dep ~attacker:4 ~dst:0 in
+  let dg1 = downgrades g sec1 dep ~attacker:4 ~dst:0 in
   Alcotest.(check int) "downgraded (sec1)" 0 dg1.Phenomena.downgraded
 
 (* Collateral damage in the security 2nd model (the Figure 14 mechanism):
@@ -91,7 +108,7 @@ let test_collateral_benefit_sec3 () =
   let empty = Deployment.empty 5 in
   let s = Deployment.make ~n:5 ~full:[| 0; 1; 2 |] () in
   let col =
-    Phenomena.collateral g sec3 ~baseline:empty ~deployment:s ~attacker:3
+    collateral g sec3 ~baseline:empty ~deployment:s ~attacker:3
       ~dst:0
   in
   (* Insecure sources: y?  y is secure... insecure sources are m's
@@ -151,7 +168,7 @@ let test_root_cause_identities =
       let dst = Rng.int rng n and m = Rng.int rng n in
       if m = dst then true
       else begin
-        let rc = Phenomena.root_cause g policy dep ~attacker:m ~dst in
+        let rc = root_cause g policy dep ~attacker:m ~dst in
         (* Secure routes under normal conditions split into downgraded /
            wasted / protecting. *)
         rc.Phenomena.rc_downgraded + rc.Phenomena.rc_wasted
@@ -175,11 +192,59 @@ let test_no_damage_sec3 =
       else begin
         let dep = random_deployment rng n in
         let col =
-          Phenomena.collateral g sec3 ~baseline:(Deployment.empty n)
+          collateral g sec3 ~baseline:(Deployment.empty n)
             ~deployment:dep ~attacker:m ~dst
         in
         col.Phenomena.damage = 0
       end)
+
+(* The batched folds equal the per-pair oracles lane by lane, on
+   hierarchies wide enough for a full word: the normal lane plus 40-62
+   attackers, so the high lanes (the sign bit included) are exercised.
+   The baseline word is also solved under security 3rd of the same LP
+   variant, the sharing the experiments rely on. *)
+let test_batched_equals_oracle =
+  qtest "batched folds = per-pair oracles, lane by lane" ~count:25
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_hierarchy rng ~min_n:80 ~max_n:120 in
+      let n = Graph.n g in
+      let dep = random_deployment rng n in
+      let policy = random_policy rng in
+      let dst = Rng.int rng n in
+      let attackers = random_attackers rng ~n ~dst (40 + Rng.int rng 23) in
+      let empty = Deployment.empty n in
+      let w = Phenomena.word g policy dep ~dst ~attackers in
+      let base = Phenomena.word g policy empty ~dst ~attackers in
+      let base3 =
+        Phenomena.word g
+          (Policy.make ~lp:policy.Policy.lp Policy.Security_third)
+          empty ~dst ~attackers
+      in
+      let dg = Phenomena.downgrades w in
+      let rc = Phenomena.root_cause ~base w in
+      let rc3 = Phenomena.root_cause ~base:base3 w in
+      let col = Phenomena.collateral ~baseline:base w in
+      let ok = ref true in
+      Array.iteri
+        (fun l attacker ->
+          let fail what =
+            Printf.eprintf "lane %d (attacker %d, dst %d): %s differs\n%!"
+              (l + 1) attacker dst what;
+            ok := false
+          in
+          if dg.(l) <> Oracle.downgrades g policy dep ~attacker ~dst then
+            fail "downgrades";
+          let want = Oracle.root_cause g policy dep ~attacker ~dst in
+          if rc.(l) <> want then fail "root_cause";
+          if rc3.(l) <> want then fail "root_cause (sec3 baseline)";
+          if
+            col.(l)
+            <> Oracle.collateral g policy ~baseline:empty ~deployment:dep
+                 ~attacker ~dst
+          then fail "collateral")
+        attackers;
+      !ok)
 
 let test_collateral_requires_subset () =
   let g = graph 2 [ c2p 1 0 ] in
@@ -187,7 +252,7 @@ let test_collateral_requires_subset () =
     (Invalid_argument "Phenomena.collateral: baseline not a subset of deployment")
     (fun () ->
       ignore
-        (Phenomena.collateral g sec3
+        (collateral g sec3
            ~baseline:(Deployment.make ~n:2 ~full:[| 1 |] ())
            ~deployment:(Deployment.empty 2) ~attacker:1 ~dst:0))
 
@@ -207,5 +272,9 @@ let () =
             test_collateral_requires_subset;
         ] );
       ( "properties",
-        [ test_root_cause_identities; test_no_damage_sec3 ] );
+        [
+          test_root_cause_identities;
+          test_no_damage_sec3;
+          test_batched_equals_oracle;
+        ] );
     ]

@@ -120,6 +120,21 @@ diff -r "$det_dir/d1" "$det_dir/d2" || {
   echo "rollout experiments differ across domain counts"; exit 1; }
 rm -rf "$det_dir"
 
+echo "== phenomena experiments are domain-count independent (smoke)"
+# Table 3, Figures 13 and 16, the Section 3 strategy table and the
+# anecdotes fold batched destination words (normal lane plus attacker
+# lanes); their printed outputs must not depend on how many domains
+# the run was given.
+det_dir=$(mktemp -d)
+for d in 1 2; do
+  dune exec bin/sbgp.exe -- run -n 400 --scale 0.3 --domains "$d" \
+    --out "$det_dir/d$d" phenomena root-cause attacks cp-fate anecdotes \
+    > /dev/null
+done
+diff -r "$det_dir/d1" "$det_dir/d2" || {
+  echo "phenomena experiments differ across domain counts"; exit 1; }
+rm -rf "$det_dir"
+
 echo "== sbgp check --optimize (smoke)"
 # The Max-k optimizer differential gate on its own: CELF must replay the
 # naive greedy's pick sequence bit-for-bit on the set-cover gadget and
